@@ -481,24 +481,8 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-4) -> float:
     Returns max over elements of |analytic - central| / (|central| + 1e-8).
     ``x.data`` is perturbed in place and restored.
     """
-    x.zero_grad()
     x.requires_grad = True
-    backward(f(x))
-    analytic = np.zeros(x.shape) if x.grad is None else x.grad.copy()
-
-    central = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = f(x).item()
-        flat[i] = orig - h
-        lo = f(x).item()
-        flat[i] = orig
-        central.reshape(-1)[i] = (hi - lo) / (2.0 * h)
-
-    rel = np.abs(analytic - central) / (np.abs(central) + 1e-8)
-    return float(rel.max())
+    return finite_diff_check_params(lambda: f(x), {"x": x}, h)["x"]
 
 
 def finite_diff_check_params(loss_fn, params, h: float = 1e-4) -> dict:

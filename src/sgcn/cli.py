@@ -15,22 +15,32 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .config import ModelConfig, RunConfig, TrainConfig, read_config_file, write_config_file
-from .data import infer_frame_step, leave_one_out_split, load_dataset, load_scene_file
-from .errors import ConfigError, DataError, SgcnError
+from .data import last_observation, leave_one_out_split, load_dataset, load_scene_file
+from .errors import ConfigError, SgcnError
 from .evaluation import evaluate_best_of_k, write_metrics_csv, write_summary
 from .model import forward, load_checkpoint, mu_trajectory, predict, sample_trajectory
 from .training import train
 
 logger = logging.getLogger(__name__)
 
-_INT_KEYS = {"epochs", "batch_size", "seed", "num_samples", "jobs"}
-_FLOAT_KEYS = {"lr", "xi"}
-_STRING_KEYS = {"data_root", "holdout", "out", "field_order", "checkpoint", "scene_file"}
-_FLAG_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STRING_KEYS)
+_KEY_TYPES = get_type_hints(RunConfig)
+# RunConfig keys settable by flag -> help text; each flag's type is its key's.
+_FLAGS = {
+    "data_root": "directory of *.txt scene files",
+    "holdout": "scene held out of training / evaluated",
+    "epochs": None, "batch_size": None, "lr": None,
+    "xi": "graph sparsity threshold in [0, 1]",
+    "seed": None, "num_samples": None,
+    "out": "output directory for artifacts",
+    "jobs": "evaluation worker threads",
+    "checkpoint": "model checkpoint path",
+    "scene_file": "single trajectory file to run on",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,32 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="key=value file; flags override its entries")
-        p.add_argument("--data-root", dest="data_root", help="directory of *.txt scene files")
-        p.add_argument("--holdout", help="scene held out of training / evaluated")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--xi", type=float, help="graph sparsity threshold in [0, 1]")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--num-samples", dest="num_samples", type=int)
-        p.add_argument("--out", help="output directory for artifacts")
-        p.add_argument("--jobs", type=int, help="evaluation worker threads")
-        p.add_argument("--checkpoint", help="model checkpoint path")
-        p.add_argument("--scene-file", dest="scene_file", help="single trajectory file to run on")
+        for key, text in _FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key], help=text)
     return parser
 
 
 def _coerce(key: str, text: str):
+    kind = _KEY_TYPES[key]
+    if kind is tuple:
+        return tuple(s for s in (part.strip() for part in text.split(",")) if s)
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
+        return kind(text)
     except ValueError as err:
         raise ConfigError(f"config key {key}: {err}") from err
-    if key == "scenes":
-        return tuple(s for s in (part.strip() for part in text.split(",")) if s)
-    return text
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
@@ -95,8 +92,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
                 raise ConfigError(f"{args.config}: unknown config key {key!r}")
             values[key] = _coerce(key, text)
             explicit.add(key)
-    for key in _FLAG_KEYS:
-        flag = getattr(args, key, None)
+    for key in _FLAGS:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
             explicit.add(key)
@@ -133,49 +130,13 @@ def _load_tables(run: RunConfig) -> dict:
     return tables
 
 
-def _observation_window(table, t_obs: int, source) -> tuple:
-    """Last ``t_obs`` uniformly spaced frames; pedestrians must span all of them.
-
-    Returns (ids, positions [t_obs, N, 2]).  Incomplete pedestrians are
-    dropped with a warning; an empty result is an error naming them.
-    """
-    unique = np.unique(table.frames)
-    if len(unique) < t_obs:
-        raise DataError(f"{source}: needs at least {t_obs} distinct frames, found {len(unique)}")
-    window = unique[-t_obs:]
-    step = infer_frame_step(table)
-    if window[-1] - window[0] != (t_obs - 1) * step:
-        raise DataError(f"{source}: recording gap inside the last {t_obs} frames")
-    at_frame: dict = {}
-    for row in range(len(table)):
-        at_frame.setdefault(int(table.frames[row]), {})[int(table.ped_ids[row])] = row
-    present = set(at_frame[int(window[0])])
-    for f in window[1:]:
-        present &= set(at_frame[int(f)])
-    dropped = sorted(set(int(p) for p in table.ped_ids) - present)
-    if not present:
-        raise DataError(
-            f"{source}: no pedestrian observed at all of the last {t_obs} frames; "
-            f"dropped pedestrians {dropped}"
-        )
+def _load_scene_input(run: RunConfig, t_obs: int):
+    """Observation window of ``--scene-file`` for predict/dump-graphs."""
+    path = _require(run.scene_file, "scene_file")
+    scene, dropped = last_observation(load_scene_file(path, field_order=run.field_order), t_obs, path)
     if dropped:
-        logger.warning("%s: dropping pedestrians with incomplete observation: %s", source, dropped)
-    ids = tuple(sorted(present))
-    pos = np.empty((t_obs, len(ids), 2))
-    for ti, f in enumerate(window):
-        rows = at_frame[int(f)]
-        for ni, pid in enumerate(ids):
-            pos[ti, ni] = table.xy[rows[pid]]
-    return ids, pos
-
-
-def _load_scene_input(run: RunConfig, t_obs: int) -> tuple:
-    """(ids, observed positions, displacements) for predict/dump-graphs."""
-    table = load_scene_file(_require(run.scene_file, "scene_file"), field_order=run.field_order)
-    ids, obs = _observation_window(table, t_obs, run.scene_file)
-    disp = np.zeros_like(obs)
-    disp[1:] = obs[1:] - obs[:-1]
-    return ids, obs, disp
+        logger.warning("%s: dropping pedestrians with incomplete observation: %s", path, dropped)
+    return scene
 
 
 def _load_weights(run: RunConfig, explicit: set) -> tuple:
@@ -188,15 +149,7 @@ def _load_weights(run: RunConfig, explicit: set) -> tuple:
 def cmd_train(run: RunConfig, explicit: set) -> int:
     out = _prepare_out(run)
     model_cfg = ModelConfig(xi=run.xi)
-    train_cfg = TrainConfig(
-        epochs=run.epochs,
-        batch_size=run.batch_size,
-        lr=run.lr,
-        xi=run.xi,
-        seed=run.seed,
-        holdout=run.holdout,
-        num_samples=run.num_samples,
-    )
+    train_cfg = TrainConfig(epochs=run.epochs, batch_size=run.batch_size, lr=run.lr, seed=run.seed)
     split = leave_one_out_split(_load_tables(run), run.holdout, model_cfg.t_obs, model_cfg.t_pred)
     checkpoint = out / "checkpoint.ckpt"
     train(
@@ -227,8 +180,9 @@ def cmd_eval(run: RunConfig, explicit: set) -> int:
 def cmd_predict(run: RunConfig, explicit: set) -> int:
     out = _prepare_out(run)
     weights, cfg = _load_weights(run, explicit)
-    ids, obs, disp = _load_scene_input(run, cfg.t_obs)
-    params = predict(disp, weights, cfg)
+    scene = _load_scene_input(run, cfg.t_obs)
+    ids, obs = scene.pedestrian_ids, scene.positions_obs
+    params = predict(scene.displacements_obs, weights, cfg)
     last = obs[-1]
     mu_path = mu_trajectory(params, last)
     rng = np.random.default_rng(run.seed)
@@ -259,8 +213,9 @@ def cmd_predict(run: RunConfig, explicit: set) -> int:
 def cmd_dump_graphs(run: RunConfig, explicit: set) -> int:
     out = _prepare_out(run)
     weights, cfg = _load_weights(run, explicit)
-    ids, _, disp = _load_scene_input(run, cfg.t_obs)
-    _, spatial, temporal = forward(disp, weights, cfg)
+    scene = _load_scene_input(run, cfg.t_obs)
+    ids = scene.pedestrian_ids
+    _, spatial, temporal = forward(scene.displacements_obs, weights, cfg)
 
     def matrix_lines(m: np.ndarray):
         return [" ".join(repr(float(v)) for v in row) for row in m]

@@ -50,23 +50,16 @@ class TrainConfig:
     lr: float = 1e-3
     lr_decay_factor: float = 0.1
     lr_decay_interval: int = 50
-    xi: float = 0.5
     seed: int = 0
-    holdout: str = "ZARA2"
-    t_obs: int = 8
-    t_pred: int = 12
-    num_samples: int = 20
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "lr_decay_interval", "t_obs", "t_pred", "num_samples"):
+        for name in ("epochs", "batch_size", "lr_decay_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ConfigError(f"xi must lie in [0, 1], got {self.xi}")
 
     def lr_at(self, epoch: int) -> float:
         """Stepped decay: lr * factor^(epoch // interval)."""
@@ -105,11 +98,11 @@ class RunConfig:
     command: str = ""
     data_root: str = ""
     holdout: str = "ZARA2"
-    epochs: int = 150
-    batch_size: int = 128
-    lr: float = 1e-3
-    xi: float = 0.5
-    seed: int = 0
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    xi: float = ModelConfig.xi
+    seed: int = TrainConfig.seed
     num_samples: int = 20
     out: str = "runs/default"
     jobs: int = 1

@@ -64,7 +64,7 @@ def _parse_int_field(token: str, what: str, where: str) -> int:
         value = float(token)
     except ValueError:
         raise DataError(f"{where}: {what} {token!r} is not numeric") from None
-    if value != int(value):
+    if not value.is_integer():  # also rejects nan and inf
         raise DataError(f"{where}: {what} {token!r} is not integral")
     return int(value)
 
@@ -103,6 +103,11 @@ def load_scene_file(path, name: str | None = None, field_order: str = "frame id 
     frames = np.asarray(frames, dtype=np.int64)
     ped_ids = np.asarray(ped_ids, dtype=np.int64)
     xy = np.column_stack([xs, ys]).astype(np.float64)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        with open(path) as fh:  # one row per non-blank line
+            lineno = [n for n, line in enumerate(fh, start=1) if line.strip()][np.argmin(finite)]
+        raise DataError(f"{path}:{lineno}: position fields must be finite")
 
     order_idx = np.lexsort((ped_ids, frames))
     frames, ped_ids, xy = frames[order_idx], ped_ids[order_idx], xy[order_idx]
@@ -149,6 +154,35 @@ def future_displacements(scene: TrajectoryScene) -> np.ndarray:
     return out
 
 
+def _frame_index(table: RawTrajectoryTable, first: int, last: int) -> dict:
+    """frame -> {pedestrian -> row} over the rows with first <= frame <= last."""
+    lo = int(np.searchsorted(table.frames, first, side="left"))
+    hi = int(np.searchsorted(table.frames, last, side="right"))
+    at_frame: dict = {}
+    frames, ped_ids = table.frames[lo:hi].tolist(), table.ped_ids[lo:hi].tolist()
+    for row, frame, pid in zip(range(lo, hi), frames, ped_ids):
+        at_frame.setdefault(frame, {})[pid] = row
+    return at_frame
+
+
+def _present_ids(at_frame: dict, window: list) -> tuple:
+    """Sorted ids of the pedestrians observed at every frame of ``window``."""
+    present = set(at_frame[window[0]])
+    for frame in window[1:]:
+        present.intersection_update(at_frame[frame])
+        if not present:
+            break
+    return tuple(sorted(present))
+
+
+def _window_scene(table: RawTrajectoryTable, at_frame: dict, window: list, ids: tuple, t_obs: int):
+    """Scene of ``ids`` over ``window``: its first ``t_obs`` frames observed, the rest future."""
+    rows = [at_frame[frame][pid] for frame in window for pid in ids]
+    pos = table.xy[rows].reshape(len(window), len(ids), 2)
+    scene = TrajectoryScene(ids, pos[:t_obs], pos[t_obs:], start_frame=window[0], scene_name=table.name)
+    return to_displacements(scene)
+
+
 def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int, stride: int = 1) -> list:
     """Slice a table into complete observation+prediction windows.
 
@@ -160,43 +194,44 @@ def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int, stride: in
     if t_obs < 1 or t_pred < 1 or stride < 1:
         raise ConfigError(f"t_obs, t_pred, stride must be >= 1, got {t_obs}, {t_pred}, {stride}")
     total = t_obs + t_pred
-    unique = np.unique(table.frames)
+    unique = np.unique(table.frames).tolist()
     if len(unique) < total:
         return []
     step = infer_frame_step(table)
-
-    # at_frame: frame -> {pedestrian -> row}
-    at_frame: dict = {}
-    for row in range(len(table)):
-        at_frame.setdefault(int(table.frames[row]), {})[int(table.ped_ids[row])] = row
+    at_frame = _frame_index(table, unique[0], unique[-1])
 
     scenes = []
     for s in range(0, len(unique) - total + 1, stride):
         window = unique[s : s + total]
         if window[-1] - window[0] != (total - 1) * step:
             continue  # a recording gap interrupts this window
-        present = set(at_frame[int(window[0])])
-        for f in window[1:]:
-            present &= set(at_frame[int(f)])
-            if not present:
-                break
-        if not present:
-            continue
-        ids = tuple(sorted(present))
-        pos = np.empty((total, len(ids), 2))
-        for ti, f in enumerate(window):
-            rows = at_frame[int(f)]
-            for ni, pid in enumerate(ids):
-                pos[ti, ni] = table.xy[rows[pid]]
-        scene = TrajectoryScene(
-            pedestrian_ids=ids,
-            positions_obs=pos[:t_obs],
-            positions_fut=pos[t_obs:],
-            start_frame=int(window[0]),
-            scene_name=table.name,
-        )
-        scenes.append(to_displacements(scene))
+        ids = _present_ids(at_frame, window)
+        if ids:
+            scenes.append(_window_scene(table, at_frame, window, ids, t_obs))
     return scenes
+
+
+def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
+    """(observation-only scene of the last ``t_obs`` frames, sorted ids left out).
+
+    Same rules as :func:`window_scenes`.  Too few frames, a gap, or nobody
+    present at every frame raise a DataError naming ``source``.
+    """
+    unique = np.unique(table.frames)
+    if len(unique) < t_obs:
+        raise DataError(f"{source}: needs at least {t_obs} distinct frames, found {len(unique)}")
+    window = unique[-t_obs:].tolist()
+    if window[-1] - window[0] != (t_obs - 1) * infer_frame_step(table):
+        raise DataError(f"{source}: recording gap inside the last {t_obs} frames")
+    at_frame = _frame_index(table, window[0], window[-1])
+    ids = _present_ids(at_frame, window)
+    dropped = sorted(set(np.unique(table.ped_ids).tolist()).difference(ids))
+    if not ids:
+        raise DataError(
+            f"{source}: no pedestrian observed at all of the last {t_obs} frames; "
+            f"dropped pedestrians {dropped}"
+        )
+    return _window_scene(table, at_frame, window, ids, t_obs), dropped
 
 
 def load_dataset(data_root, field_order: str = "frame id x y") -> dict:

@@ -95,7 +95,7 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
         entry[1] += f.sum()
         entry[2] += len(a)
     per_scene = {
-        name: (total_a / count, total_f / count, count)
+        name: (float(total_a / count), float(total_f / count), count)
         for name, (total_a, total_f, count) in per_scene.items()
     }
     return MetricsReport(
@@ -114,14 +114,13 @@ def mu_path_metrics(weights, cfg: ModelConfig, scenes) -> tuple:
     """(ADE, FDE) of the deterministic mean path, no sampling."""
     if not scenes:
         raise ConfigError("evaluation requires at least one scene window")
-    ades, fdes, counts = [], [], []
+    ades, fdes = [], []
     for scene in scenes:
         params = predict(scene.displacements_obs, weights, cfg)
         pred = mu_trajectory(params, scene.positions_obs[-1])
         dist = np.linalg.norm(pred - scene.positions_fut, axis=-1)
         ades.append(dist.mean(axis=0))
         fdes.append(dist[-1])
-        counts.append(scene.n_pedestrians)
     all_ade = np.concatenate(ades)
     all_fde = np.concatenate(fdes)
     return float(all_ade.mean()), float(all_fde.mean())
@@ -133,7 +132,7 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
     lines.append(f"overall,{report.ade!r},{report.fde!r},{report.n_pedestrians}")
     for name in sorted(report.per_scene):
         a, f, count = report.per_scene[name]
-        lines.append(f"{name},{a!r},{f!r},{count}")
+        lines.append(f"{name},{float(a)!r},{float(f)!r},{count}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
+from .data import reconstruct_positions
 from .errors import CheckpointError, ShapeError
 from .graphs import build_spatial_graph, build_temporal_graph
 
@@ -39,23 +40,21 @@ def _glorot(rng, shape, fan_in, fan_out) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_weights(cfg: ModelConfig, seed: int = 0) -> dict:
-    """All trainable parameters, name -> leaf Tensor, deterministic in seed."""
-    rng = np.random.default_rng(seed)
+def _layout(cfg: ModelConfig) -> list:
+    """(name, shape, init) per parameter in draw order; init is Glorot (fan_in, fan_out) or a constant."""
     d, t, p, s = cfg.embed_dim, cfg.t_obs, cfg.t_pred, cfg.conv_kernel
-    w: dict = {}
+    layout: list = []
 
     def linear(name, n_in, n_out):
-        w[f"{name}_w"] = Tensor(_glorot(rng, (n_in, n_out), n_in, n_out), requires_grad=True)
-        w[f"{name}_b"] = Tensor(np.zeros(n_out), requires_grad=True)
+        layout.append((f"{name}_w", (n_in, n_out), (n_in, n_out)))
+        layout.append((f"{name}_b", (n_out,), 0.0))
 
     def conv(name, c_out, c_in, kh, kw):
-        fan_in, fan_out = c_in * kh * kw, c_out * kh * kw
-        w[f"{name}_k"] = Tensor(_glorot(rng, (c_out, c_in, kh, kw), fan_in, fan_out), requires_grad=True)
-        w[f"{name}_b"] = Tensor(np.zeros(c_out), requires_grad=True)
+        layout.append((f"{name}_k", (c_out, c_in, kh, kw), (c_in * kh * kw, c_out * kh * kw)))
+        layout.append((f"{name}_b", (c_out,), 0.0))
 
     def slope(name):
-        w[name] = Tensor(0.25, requires_grad=True)
+        layout.append((name, (), 0.25))
 
     for prefix, channels in (("spa", t), ("tmp", 1)):
         linear(f"{prefix}_embed", 2, d)
@@ -69,15 +68,24 @@ def init_weights(cfg: ModelConfig, seed: int = 0) -> dict:
             slope(f"{prefix}_conv{layer}_slope")
 
     for name in ("gcn_spa1", "gcn_tmp1", "gcn_tmp2", "gcn_spa2"):
-        w[f"{name}_w"] = Tensor(_glorot(rng, (d, d), d, d), requires_grad=True)
+        layout.append((f"{name}_w", (d, d), (d, d)))
         slope(f"{name}_slope")
 
-    conv("tcn_conv0", p, t, 1, cfg.conv_kernel)
-    slope("tcn_slope0")
-    for layer in range(1, cfg.tcn_layers):
-        conv(f"tcn_conv{layer}", p, p, 1, cfg.conv_kernel)
+    for layer in range(cfg.tcn_layers):
+        conv(f"tcn_conv{layer}", p, p if layer else t, 1, s)
         slope(f"tcn_slope{layer}")
     linear("out_proj", d, 5)
+    return layout
+
+
+def init_weights(cfg: ModelConfig, seed: int = 0) -> dict:
+    """All trainable parameters, name -> leaf Tensor, deterministic in seed."""
+    rng = np.random.default_rng(seed)
+    w = {
+        name: Tensor(_glorot(rng, shape, *init) if isinstance(init, tuple) else np.full(shape, init),
+                     requires_grad=True)
+        for name, shape, init in _layout(cfg)
+    }
     # damp the head so initial outputs sit near (mu=0, sigma=1, rho=0)
     # instead of an arbitrarily sharp or inflated density
     w["out_proj_w"] = Tensor(w["out_proj_w"].data * 0.1, requires_grad=True)
@@ -176,12 +184,12 @@ def sample_displacements(params: BiGaussianParams, rng) -> np.ndarray:
 
 def sample_trajectory(params: BiGaussianParams, last_observed: np.ndarray, rng) -> np.ndarray:
     """Absolute future positions from one sampled displacement sequence."""
-    return last_observed[None] + np.cumsum(sample_displacements(params, rng), axis=0)
+    return reconstruct_positions(last_observed, sample_displacements(params, rng))
 
 
 def mu_trajectory(params: BiGaussianParams, last_observed: np.ndarray) -> np.ndarray:
     """Deterministic mean path (the zero-noise sample)."""
-    return last_observed[None] + np.cumsum(params.mu, axis=0)
+    return reconstruct_positions(last_observed, params.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +266,7 @@ def load_checkpoint(path) -> tuple:
     except KeyError as err:
         raise CheckpointError(f"{path}: header missing config field {err}") from None
 
-    expected = init_weights(cfg, seed=0)
-    expected_shapes = sorted((name, tuple(t.shape)) for name, t in expected.items())
+    expected_shapes = sorted((name, shape) for name, shape, _ in _layout(cfg))
     if sorted(shapes) != expected_shapes:
         got = dict(shapes)
         for name, shape in expected_shapes:

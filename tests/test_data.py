@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -36,6 +36,19 @@ class TestLoadSceneFile:
     def test_three_fields_rejected_with_line_number(self, tmp_path):
         p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", "10 1 2.5"])
         with pytest.raises(DataError, match="bad.txt:2"):
+            dd.load_scene_file(p)
+
+    @pytest.mark.parametrize("x, y", [("nan", "1.0"), ("0.5", "inf"), ("-inf", "NaN")])
+    def test_non_finite_position_rejected_with_line_number(self, tmp_path, x, y):
+        # the blank line keeps row and line numbers apart
+        p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", "", f"20 1 {x} {y}", "30 1 2.7 3.7"])
+        with pytest.raises(DataError, match="bad.txt:3: position fields must be finite"):
+            dd.load_scene_file(p)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_frame_id_rejected_with_line_number(self, tmp_path, token):
+        p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", f"{token} 1 2.5 3.5"])
+        with pytest.raises(DataError, match="bad.txt:2: frame_id .* is not integral"):
             dd.load_scene_file(p)
 
     def test_duplicate_pair_rejected(self, tmp_path):
@@ -174,6 +187,45 @@ def test_windowing_matches_brute_force(seed, n_peds, stride):
         # presence invariant: every listed pedestrian appears at all frames
         assert np.isfinite(s.positions_obs).all() and np.isfinite(s.positions_fut).all()
         assert s.displacements_obs.shape == s.positions_obs.shape
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@example(3, 2)  # recording gap
+@example(6, 2)  # nobody present at all frames
+@example(30, 2)  # too few frames
+@settings(max_examples=40, deadline=None)
+def test_last_observation_matches_brute_force(seed, n_peds):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for pid in range(1, n_peds + 1):
+        start = int(rng.integers(0, 8))
+        length = int(rng.integers(1, 14))
+        track = walk_rows(pid, start * 10, length, x0=float(pid))
+        if length > 1 and rng.integers(0, 2):  # one missed observation
+            del track[int(rng.integers(0, length))]
+        rows.extend(track)
+    if rng.integers(0, 2):  # a recording gap before a lone late pedestrian
+        rows.extend(walk_rows(n_peds + 1, 250, int(rng.integers(1, 6))))
+    dedup = {}
+    for r in rows:
+        dedup[(r[0], r[1])] = r
+    table = make_table(list(dedup.values()))
+    t_obs = 4
+    last_start = sorted(set(table.frames.tolist()))[-t_obs:][0]
+    want = [ids for start, ids in brute_force_windows(table, t_obs, 0) if start == last_start]
+    if not want:  # too few frames, a gap, or nobody present throughout
+        with pytest.raises(DataError, match="test.txt"):
+            dd.last_observation(table, t_obs, "test.txt")
+        return
+    scene, dropped = dd.last_observation(table, t_obs, "test.txt")
+    assert scene.pedestrian_ids == want[0]
+    assert dropped == sorted(set(table.ped_ids.tolist()) - set(want[0]))
+    xy_at = {(int(f), int(p)): xy for f, p, xy in zip(table.frames, table.ped_ids, table.xy)}
+    expected = [[xy_at[(last_start + 10 * t, p)] for p in want[0]] for t in range(t_obs)]
+    assert np.array_equal(scene.positions_obs, np.array(expected))
+    obs = scene.positions_obs
+    assert np.array_equal(scene.displacements_obs, np.diff(obs, axis=0, prepend=obs[:1]))
+    assert scene.start_frame == last_start and scene.positions_fut.shape == (0, len(want[0]), 2)
 
 
 class TestDisplacements:

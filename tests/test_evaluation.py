@@ -180,22 +180,28 @@ class TestReports:
         report = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=2, seed=0)
         counts = sum(c for _, _, c in report.per_scene.values())
         assert counts == report.n_pedestrians
+        assert all(type(a) is float and type(f) is float for a, f, _ in report.per_scene.values())
         weighted = sum(a * c for a, _, c in report.per_scene.values()) / counts
         assert report.ade == pytest.approx(weighted, abs=1e-12)
 
     def test_metrics_csv_exact_bytes(self, tmp_path):
-        report = ev.MetricsReport(
-            ade=0.5, fde=1.25, n_pedestrians=7, n_scenes=3, k=20, seed=0,
-            per_scene={"ZARA1": (0.5, 1.0, 4), "ETH": (0.25, 2.0, 3)},
-        )
-        path = tmp_path / "metrics.csv"
-        ev.write_metrics_csv(report, path)
-        assert path.read_text() == (
-            "scope,ade,fde,pedestrians\n"
-            "overall,0.5,1.25,7\n"
-            "ETH,0.25,2.0,3\n"
-            "ZARA1,0.5,1.0,4\n"
-        )
+        # np.float64 too: NumPy 2 reprs it as "np.float64(0.5)", which must not leak
+        for scalar in (float, np.float64):
+            report = ev.MetricsReport(
+                ade=0.5, fde=1.25, n_pedestrians=7, n_scenes=3, k=20, seed=0,
+                per_scene={
+                    "ZARA1": (scalar(0.5), scalar(1.0), 4),
+                    "ETH": (scalar(0.25), scalar(2.0), 3),
+                },
+            )
+            path = tmp_path / "metrics.csv"
+            ev.write_metrics_csv(report, path)
+            assert path.read_text() == (
+                "scope,ade,fde,pedestrians\n"
+                "overall,0.5,1.25,7\n"
+                "ETH,0.25,2.0,3\n"
+                "ZARA1,0.5,1.0,4\n"
+            ), scalar
 
     def test_csv_repeat_runs_byte_identical(self, tmp_path):
         scenes = random_scenes()
