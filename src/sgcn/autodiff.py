@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -340,8 +340,6 @@ def conv2d_zero_pad(x, kernels, bias=None) -> Tensor:
     and W unchanged.  Covers 1x1 channel fusion, the (1xS)/(Sx1)
     asymmetric pairs, and the prediction head's temporal convolutions.
     """
-    from .errors import ConfigError
-
     x, kernels = as_tensor(x), as_tensor(kernels)
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be 4-d, got {kernels.shape}")

@@ -178,6 +178,8 @@ def cmd_eval(run: RunConfig, explicit: set) -> int:
 
 
 def cmd_predict(run: RunConfig, explicit: set) -> int:
+    if run.num_samples < 0:
+        raise ConfigError(f"num_samples must be >= 0, got {run.num_samples}")
     out = _prepare_out(run)
     weights, cfg = _load_weights(run, explicit)
     scene = _load_scene_input(run, cfg.t_obs)
@@ -185,8 +187,7 @@ def cmd_predict(run: RunConfig, explicit: set) -> int:
     params = predict(scene.displacements_obs, weights, cfg)
     last = obs[-1]
     mu_path = mu_trajectory(params, last)
-    rng = np.random.default_rng(run.seed)
-    samples = [sample_trajectory(params, last, rng) for _ in range(run.num_samples)]
+    samples = sample_trajectory(params, last, np.random.default_rng(run.seed), run.num_samples)
 
     def xy(arr, t, ni):
         return f"{float(arr[t, ni, 0])!r},{float(arr[t, ni, 1])!r}"

@@ -112,10 +112,9 @@ def load_scene_file(path, name: str | None = None, field_order: str = "frame id 
     order_idx = np.lexsort((ped_ids, frames))
     frames, ped_ids, xy = frames[order_idx], ped_ids[order_idx], xy[order_idx]
 
-    keys = frames * (ped_ids.max() + 1) + ped_ids
-    if len(np.unique(keys)) != len(keys):
-        dup = np.flatnonzero(np.diff(np.sort(keys)) == 0)[0]
-        raise DataError(f"{path}: duplicate (frame, pedestrian) observation near row {dup + 1}")
+    repeated = (frames[1:] == frames[:-1]) & (ped_ids[1:] == ped_ids[:-1])
+    if repeated.any():
+        raise DataError(f"{path}: duplicate (frame, pedestrian) observation near row {np.argmax(repeated) + 1}")
 
     return RawTrajectoryTable(name=name, frames=frames, ped_ids=ped_ids, xy=xy)
 
@@ -138,11 +137,12 @@ def to_displacements(scene: TrajectoryScene) -> TrajectoryScene:
 def reconstruct_positions(origin: np.ndarray, displacements: np.ndarray) -> np.ndarray:
     """Invert displacement conversion: origin + running sum of deltas.
 
-    ``origin`` is [N, 2]; ``displacements`` is [T, N, 2] where step 0 is
-    the delta from the origin.  Exact inverse of the conversion on data
-    whose coordinates are representable sums (binary-fraction grids).
+    ``origin`` is [N, 2]; ``displacements`` is [T, N, 2], or [K, T, N, 2]
+    for K sampled sequences, where step 0 is the delta from the origin.
+    Exact inverse of the conversion on data whose coordinates are
+    representable sums (binary-fraction grids).
     """
-    return origin[None] + np.cumsum(displacements, axis=0)
+    return origin + np.cumsum(displacements, axis=-3)
 
 
 def future_displacements(scene: TrajectoryScene) -> np.ndarray:

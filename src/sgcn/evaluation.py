@@ -48,20 +48,17 @@ class MetricsReport:
     wall_clock_s: float = 0.0
 
 
+def _path_errors(paths: np.ndarray, gt: np.ndarray) -> tuple:
+    """Per-pedestrian (ADE, FDE) of paths [..., T, N, 2] against ground truth [T, N, 2]."""
+    dist = np.linalg.norm(paths - gt, axis=-1)
+    return dist.mean(axis=-2), dist[..., -1, :]
+
+
 def _scene_best_of_k(scene, weights, cfg, k, child_seed):
     """Per-pedestrian (best ADE, its FDE) for one scene."""
     params = predict(scene.displacements_obs, weights, cfg)
-    last = scene.positions_obs[-1]
-    gt = scene.positions_fut
-    rng = np.random.default_rng(child_seed)
-    # errors[k, n]: per-sample per-pedestrian metrics
-    ade_kn = np.empty((k, scene.n_pedestrians))
-    fde_kn = np.empty((k, scene.n_pedestrians))
-    for s in range(k):
-        sample = sample_trajectory(params, last, rng)
-        dist = np.linalg.norm(sample - gt, axis=-1)
-        ade_kn[s] = dist.mean(axis=0)
-        fde_kn[s] = dist[-1]
+    samples = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(child_seed), k)
+    ade_kn, fde_kn = _path_errors(samples, scene.positions_fut)
     best = np.argmin(ade_kn, axis=0)
     picked = np.arange(scene.n_pedestrians)
     return ade_kn[best, picked], fde_kn[best, picked]
@@ -114,16 +111,12 @@ def mu_path_metrics(weights, cfg: ModelConfig, scenes) -> tuple:
     """(ADE, FDE) of the deterministic mean path, no sampling."""
     if not scenes:
         raise ConfigError("evaluation requires at least one scene window")
-    ades, fdes = [], []
-    for scene in scenes:
-        params = predict(scene.displacements_obs, weights, cfg)
-        pred = mu_trajectory(params, scene.positions_obs[-1])
-        dist = np.linalg.norm(pred - scene.positions_fut, axis=-1)
-        ades.append(dist.mean(axis=0))
-        fdes.append(dist[-1])
-    all_ade = np.concatenate(ades)
-    all_fde = np.concatenate(fdes)
-    return float(all_ade.mean()), float(all_fde.mean())
+    ades, fdes = zip(*(
+        _path_errors(mu_trajectory(predict(scene.displacements_obs, weights, cfg), scene.positions_obs[-1]),
+                     scene.positions_fut)
+        for scene in scenes
+    ))
+    return float(np.concatenate(ades).mean()), float(np.concatenate(fdes).mean())
 
 
 def write_metrics_csv(report: MetricsReport, path) -> None:

@@ -11,7 +11,8 @@ checkpoint format.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .data import reconstruct_positions
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .graphs import build_spatial_graph, build_temporal_graph
 
 CHECKPOINT_MAGIC = "SGCNCKPT"
@@ -167,24 +168,26 @@ def predict(displacements, weights: dict, cfg: ModelConfig) -> BiGaussianParams:
     return to_gaussian(raw)
 
 
-def sample_displacements(params: BiGaussianParams, rng) -> np.ndarray:
-    """One correlated draw per (step, pedestrian) via the closed-form Cholesky.
+def sample_displacements(params: BiGaussianParams, rng, k: int) -> np.ndarray:
+    """``k`` correlated draws per (step, pedestrian) -> [k, T_pred, N, 2].
 
-    [[sx^2, r sx sy], [r sx sy, sy^2]] factors as L = [[sx, 0],
-    [r sy, sy sqrt(1 - r^2)]], so two standard normals suffice.
+    The covariance [[sx^2, r sx sy], [r sx sy, sy^2]] factors as L =
+    [[sx, 0], [r sy, sy sqrt(1 - r^2)]], so two standard normals suffice.
+    All draws come from one generator call, so draw s equals the s-th of
+    k successive single draws from the same generator.
     """
-    eps = rng.standard_normal(params.mu.shape)
+    eps = rng.standard_normal((k,) + params.mu.shape)
     sx, sy = params.sigma[..., 0], params.sigma[..., 1]
     r = params.rho
-    out = np.empty_like(params.mu)
+    out = np.empty_like(eps)
     out[..., 0] = params.mu[..., 0] + sx * eps[..., 0]
     out[..., 1] = params.mu[..., 1] + sy * (r * eps[..., 0] + np.sqrt(1.0 - r * r) * eps[..., 1])
     return out
 
 
-def sample_trajectory(params: BiGaussianParams, last_observed: np.ndarray, rng) -> np.ndarray:
-    """Absolute future positions from one sampled displacement sequence."""
-    return reconstruct_positions(last_observed, sample_displacements(params, rng))
+def sample_trajectory(params: BiGaussianParams, last_observed: np.ndarray, rng, k: int) -> np.ndarray:
+    """Absolute future positions of ``k`` sampled displacement sequences -> [k, T_pred, N, 2]."""
+    return reconstruct_positions(last_observed, sample_displacements(params, rng, k))
 
 
 def mu_trajectory(params: BiGaussianParams, last_observed: np.ndarray) -> np.ndarray:
@@ -196,22 +199,10 @@ def mu_trajectory(params: BiGaussianParams, last_observed: np.ndarray) -> np.nda
 # checkpoint format: text header (version, config, shape table) + raw payload
 
 
-def _config_fields(cfg: ModelConfig) -> dict:
-    return {
-        "t_obs": cfg.t_obs,
-        "t_pred": cfg.t_pred,
-        "embed_dim": cfg.embed_dim,
-        "conv_layers": cfg.conv_layers,
-        "conv_kernel": cfg.conv_kernel,
-        "tcn_layers": cfg.tcn_layers,
-        "xi": cfg.xi,
-    }
-
-
 def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
     """Write header + row-major little-endian float64 payloads atomically."""
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
-    for key, value in _config_fields(cfg).items():
+    for key, value in asdict(cfg).items():
         lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
     names = sorted(weights)
     for name in names:
@@ -248,23 +239,20 @@ def load_checkpoint(path) -> tuple:
     shapes: list = []
     for line in header_lines[1:]:
         if line.startswith("param "):
-            parts = line.split()
-            shapes.append((parts[1], tuple(int(d) for d in parts[2:])))
+            try:
+                _, name, *dims = line.split()
+                shapes.append((name, tuple(int(d) for d in dims)))
+            except ValueError:
+                raise CheckpointError(f"{path}: malformed shape line {line!r}") from None
         elif "=" in line:
             key, _, value = line.partition("=")
             fields[key] = value
     try:
-        cfg = ModelConfig(
-            t_obs=int(fields["t_obs"]),
-            t_pred=int(fields["t_pred"]),
-            embed_dim=int(fields["embed_dim"]),
-            conv_layers=int(fields["conv_layers"]),
-            conv_kernel=int(fields["conv_kernel"]),
-            tcn_layers=int(fields["tcn_layers"]),
-            xi=float(fields["xi"]),
-        )
+        cfg = ModelConfig(**{key: kind(fields[key]) for key, kind in get_type_hints(ModelConfig).items()})
     except KeyError as err:
         raise CheckpointError(f"{path}: header missing config field {err}") from None
+    except (ValueError, ConfigError) as err:
+        raise CheckpointError(f"{path}: bad config header: {err}") from None
 
     expected_shapes = sorted((name, shape) for name, shape, _ in _layout(cfg))
     if sorted(shapes) != expected_shapes:

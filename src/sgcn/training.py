@@ -123,33 +123,25 @@ def train(
     optimizer = Adam(weights)
     order_rng = np.random.default_rng(train_cfg.seed)
     rows = []
-    step = 0
+    zero_grads(weights)
     for epoch in range(train_cfg.epochs):
         lr = train_cfg.lr_at(epoch)
         order = order_rng.permutation(len(train_scenes))
-        zero_grads(weights)
-        window_losses = []
-        for scene_idx in order:
-            scene = train_scenes[int(scene_idx)]
-            try:
-                loss = scene_loss(scene, weights, model_cfg)
-                ad.backward(loss)
-            except NumericsError as err:
-                raise NumericsError(
-                    f"scene {scene.scene_name}@frame{scene.start_frame} "
-                    f"(N={scene.n_pedestrians}): {err}"
-                ) from err
-            window_losses.append(loss.item())
-            if len(window_losses) == train_cfg.batch_size:
-                optimizer.step(weights, lr, grad_scale=1.0 / len(window_losses))
-                step += 1
-                rows.append((epoch, step, float(np.mean(window_losses)), lr))
-                window_losses = []
-                zero_grads(weights)
-        if window_losses:  # remainder window at epoch end
+        for start in range(0, len(order), train_cfg.batch_size):  # the last window may be short
+            window_losses = []
+            for scene_idx in order[start : start + train_cfg.batch_size]:
+                scene = train_scenes[int(scene_idx)]
+                try:
+                    loss = scene_loss(scene, weights, model_cfg)
+                    ad.backward(loss)
+                except NumericsError as err:
+                    raise NumericsError(
+                        f"scene {scene.scene_name}@frame{scene.start_frame} "
+                        f"(N={scene.n_pedestrians}): {err}"
+                    ) from err
+                window_losses.append(loss.item())
             optimizer.step(weights, lr, grad_scale=1.0 / len(window_losses))
-            step += 1
-            rows.append((epoch, step, float(np.mean(window_losses)), lr))
+            rows.append((epoch, len(rows) + 1, float(np.mean(window_losses)), lr))
             zero_grads(weights)
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, weights, model_cfg)

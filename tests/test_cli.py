@@ -257,6 +257,36 @@ class TestPredictCommand:
         ])
         assert np.linalg.norm(mu_xy - hold, axis=-1).max() < 0.5
 
+    def test_zero_samples_writes_obs_and_mu_rows(self, overfit_run, tmp_path):
+        out = tmp_path / "pred"
+        assert run_cli([
+            "predict", "--checkpoint", overfit_run.checkpoint,
+            "--scene-file", overfit_run.data_root / "fix1.txt",
+            "--num-samples", "0", "--out", out,
+        ]) == 0
+        lines = (out / "predictions.csv").read_text().splitlines()
+        assert len(lines) == 3 * (8 + 12) + 1
+        assert {line.split(",")[1] for line in lines[1:]} == {"obs", "mu"}
+
+    def test_negative_samples_rejected(self, overfit_run, tmp_path, capsys):
+        code = run_cli([
+            "predict", "--checkpoint", overfit_run.checkpoint,
+            "--scene-file", overfit_run.data_root / "fix1.txt",
+            "--num-samples", "-1", "--out", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "num_samples must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_header_exits_2(self, overfit_run, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(overfit_run.checkpoint.read_bytes().replace(b"t_obs=8\n", b"t_obs=abc\n", 1))
+        code = run_cli([
+            "predict", "--checkpoint", bad,
+            "--scene-file", overfit_run.data_root / "fix1.txt", "--out", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "bad.ckpt" in capsys.readouterr().err
+
     def test_short_file_errors_with_path(self, overfit_run, tmp_path, capsys):
         short = tmp_path / "short.txt"
         write_trajectory_file(short, fixture_positions([[0.3, 0.0]], [[0.0, 0.0]], 1, steps=5))

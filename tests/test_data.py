@@ -56,6 +56,16 @@ class TestLoadSceneFile:
         with pytest.raises(DataError, match="duplicate"):
             dd.load_scene_file(p)
 
+    def test_negative_id_is_not_a_duplicate(self, tmp_path):
+        p = write_lines(tmp_path / "neg.txt", ["0 5 1.0 1.0", "1 -1 2.0 2.0"])
+        table = dd.load_scene_file(p)
+        assert table.ped_ids.tolist() == [5, -1]
+
+    def test_duplicate_pair_with_negative_id_rejected(self, tmp_path):
+        p = write_lines(tmp_path / "dup.txt", ["0 5 1.0 1.0", "1 -1 2.0 2.0", "1 -1 3.0 3.0"])
+        with pytest.raises(DataError, match="duplicate .* near row 2"):
+            dd.load_scene_file(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = write_lines(tmp_path / "empty.txt", [""])
         with pytest.raises(DataError, match="no trajectory rows"):

@@ -79,13 +79,34 @@ class TestBestOfK:
         ades, fdes = [], []
         for scene, child in zip(scenes, children):
             params = predict(scene.displacements_obs, weights, SMALL_CFG)
-            sample = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(child))
+            sample = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(child), k=1)[0]
             dist = np.linalg.norm(sample - scene.positions_fut, axis=-1)
             ades.append(dist.mean(axis=0))
             fdes.append(dist[-1])
         report = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=1, seed=seed)
         assert report.ade == pytest.approx(float(np.concatenate(ades).mean()), abs=1e-12)
         assert report.fde == pytest.approx(float(np.concatenate(fdes).mean()), abs=1e-12)
+
+    def test_best_of_k_matches_per_sample_loop(self):
+        # reference: K successive single draws, each pedestrian scored by ade/fde
+        scenes = random_scenes()
+        weights = init_weights(SMALL_CFG, seed=1)
+        k, seed = 6, 13
+        children = np.random.SeedSequence(seed).spawn(len(scenes))
+        ades, fdes = [], []
+        for scene, child in zip(scenes, children):
+            params = predict(scene.displacements_obs, weights, SMALL_CFG)
+            rng = np.random.default_rng(child)
+            samples = [sample_trajectory(params, scene.positions_obs[-1], rng, k=1)[0] for _ in range(k)]
+            for i in range(scene.n_pedestrians):
+                gt = scene.positions_fut[:, i:i + 1]
+                scores = [(ev.ade(s[:, i:i + 1], gt), ev.fde(s[:, i:i + 1], gt)) for s in samples]
+                best_ade, best_fde = min(scores)
+                ades.append(best_ade)
+                fdes.append(best_fde)
+        report = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=k, seed=seed)
+        assert report.ade == pytest.approx(float(np.mean(ades)), abs=1e-12)
+        assert report.fde == pytest.approx(float(np.mean(fdes)), abs=1e-12)
 
     def test_more_samples_never_hurt(self):
         # per scene the rng draws sample s identically regardless of k, so

@@ -242,15 +242,25 @@ class TestSampling:
         p.sigma[:] = 1e-8
         p.rho[:] = 0.0
         last = np.array([[1.0, 2.0], [3.0, 4.0]])
-        sample = mm.sample_trajectory(p, last, np.random.default_rng(19))
+        sample = mm.sample_trajectory(p, last, np.random.default_rng(19), k=1)[0]
         assert_allclose(sample, mm.mu_trajectory(p, last), atol=1e-6)
 
     def test_fixed_seed_bit_identical(self):
         p = self.params()
         last = np.zeros((2, 2))
-        a = mm.sample_trajectory(p, last, np.random.default_rng(42))
-        b = mm.sample_trajectory(p, last, np.random.default_rng(42))
+        a = mm.sample_trajectory(p, last, np.random.default_rng(42), k=1)[0]
+        b = mm.sample_trajectory(p, last, np.random.default_rng(42), k=1)[0]
         assert np.array_equal(a, b)
+
+    def test_k_draws_equal_successive_single_draws(self):
+        # prefix property: draw s of one k-draw call is the s-th k=1 draw
+        p = self.params(t=4, n=5)
+        last = np.arange(10.0).reshape(5, 2)
+        batch = mm.sample_trajectory(p, last, np.random.default_rng(23), k=6)
+        rng = np.random.default_rng(23)
+        singles = [mm.sample_trajectory(p, last, rng, k=1)[0] for _ in range(6)]
+        assert batch.shape == (6, 4, 5, 2)
+        assert np.array_equal(batch, np.stack(singles))
 
     def test_monte_carlo_moments(self):
         n_draws = 100_000
@@ -259,7 +269,7 @@ class TestSampling:
             sigma=np.tile(np.array([1.0, 2.0]), (n_draws, 1, 1)),
             rho=np.full((n_draws, 1), 0.5),
         )
-        draws = mm.sample_displacements(p, np.random.default_rng(20))[:, 0, :]
+        draws = mm.sample_displacements(p, np.random.default_rng(20), k=1)[0][:, 0, :]
         assert_allclose(draws.mean(axis=0), [0.3, -0.2], atol=0.02)
         assert_allclose(draws.std(axis=0), [1.0, 2.0], atol=0.03)
         assert_allclose(np.corrcoef(draws.T)[0, 1], 0.5, atol=0.02)
@@ -269,7 +279,7 @@ class TestSampling:
         p.sigma[:] = 1e-12
         p.rho[:] = 0.0
         last = np.array([[10.0, 20.0]])
-        out = mm.sample_trajectory(p, last, np.random.default_rng(21))
+        out = mm.sample_trajectory(p, last, np.random.default_rng(21), k=1)[0]
         assert_allclose(out[0], last + p.mu[0], atol=1e-9)
         assert_allclose(out[1], last + p.mu[0] + p.mu[1], atol=1e-9)
 
@@ -300,6 +310,23 @@ class TestCheckpoint:
         path.write_bytes(b"BOGUS 9\n" + blob.split(b"\n", 1)[1])
         with pytest.raises(CheckpointError, match="version"):
             mm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, match", [
+        (b"t_obs=4\n", b"t_obs=abc\n", "abc"),
+        (b"xi=0.5\n", b"xi=zz\n", "zz"),
+        (b"param out_proj_b 5\n", b"param out_proj_b x\n", "out_proj_b x"),
+        (b"t_obs=4\n", b"t_obs=0\n", "t_obs must be >= 1"),
+    ])
+    def test_malformed_header_value_names_file(self, tmp_path, old, new, match):
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=10), cfg)
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(CheckpointError, match=match) as info:
+            mm.load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_unsupported_version_number(self, tmp_path):
         cfg = small_cfg()
