@@ -198,16 +198,6 @@ def tanh(x) -> Tensor:
     return Tensor(out, _parents=(x,), _vjp=vjp, _op="tanh")
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = _sigmoid(x.data)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor(out, _parents=(x,), _vjp=vjp, _op="sigmoid")
-
-
 def _sigmoid(data: np.ndarray) -> np.ndarray:
     # Split by sign to avoid exp overflow on large negative inputs.
     out = np.empty_like(data)
@@ -232,15 +222,11 @@ def prelu(x, slope) -> Tensor:
     return Tensor(out, _parents=(x, slope), _vjp=vjp, _op="prelu")
 
 
-def clamp(x, lo=None, hi=None) -> Tensor:
+def clamp(x, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient is zero outside the interval."""
     x = as_tensor(x)
     out = np.clip(x.data, lo, hi)
-    inside = np.ones_like(x.data, dtype=bool)
-    if lo is not None:
-        inside &= x.data >= lo
-    if hi is not None:
-        inside &= x.data <= hi
+    inside = (x.data >= lo) & (x.data <= hi)
 
     def vjp(g):
         return (np.where(inside, g, 0.0),)
@@ -299,9 +285,7 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
@@ -332,15 +316,16 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _vjp=vjp, _op="matmul")
 
 
-def conv2d_zero_pad(x, kernels, bias=None) -> Tensor:
-    """Zero-padded cross-correlation preserving spatial extents.
+def conv2d_zero_pad(x, kernels, bias) -> Tensor:
+    """Zero-padded cross-correlation plus a per-output-channel bias.
 
     ``x`` is [C_in, H, W] or [B, C_in, H, W]; ``kernels`` is
     [C_out, C_in, kh, kw] with odd kh, kw so symmetric padding keeps H
-    and W unchanged.  Covers 1x1 channel fusion, the (1xS)/(Sx1)
-    asymmetric pairs, and the prediction head's temporal convolutions.
+    and W unchanged; ``bias`` is [C_out].  Covers 1x1 channel fusion, the
+    (1xS)/(Sx1) asymmetric pairs, and the prediction head's temporal
+    convolutions.
     """
-    x, kernels = as_tensor(x), as_tensor(kernels)
+    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be 4-d, got {kernels.shape}")
     c_out, c_in, kh, kw = kernels.shape
@@ -363,13 +348,9 @@ def conv2d_zero_pad(x, kernels, bias=None) -> Tensor:
             out += np.einsum(
                 "oc,bchw->bohw", kernels.data[:, :, i, j], xp[:, :, i : i + height, j : j + width]
             )
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (c_out,):
-            raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
-        out += bias.data[:, None, None]
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    if bias.shape != (c_out,):
+        raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
+    out += bias.data[:, None, None]
 
     def vjp(g):
         if not batched:
@@ -386,11 +367,9 @@ def conv2d_zero_pad(x, kernels, bias=None) -> Tensor:
         gx = gxp[:, :, ph : ph + height, pw : pw + width]
         if not batched:
             gx = gx[0]
-        if bias is None:
-            return gx, gk
         return gx, gk, g.sum(axis=(0, 2, 3))
 
-    return Tensor(out if batched else out[0], _parents=parents, _vjp=vjp, _op="conv2d")
+    return Tensor(out if batched else out[0], _parents=(x, kernels, bias), _vjp=vjp, _op="conv2d")
 
 
 def softmax_lastdim(x, mask: np.ndarray | None = None) -> Tensor:

@@ -10,7 +10,7 @@ absolute positions are recovered by cumulative summation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +42,19 @@ class TrajectoryScene:
     pedestrian_ids: tuple
     positions_obs: np.ndarray
     positions_fut: np.ndarray
-    displacements_obs: np.ndarray | None = None
     start_frame: int = 0
     scene_name: str = ""
 
     @property
     def n_pedestrians(self) -> int:
         return len(self.pedestrian_ids)
+
+    @property
+    def displacements_obs(self) -> np.ndarray:
+        """Per-step observation deltas; the first step is the zero vector."""
+        disp = np.zeros_like(self.positions_obs)
+        disp[1:] = self.positions_obs[1:] - self.positions_obs[:-1]
+        return disp
 
 
 @dataclass(frozen=True)
@@ -66,19 +72,19 @@ def _parse_int_field(token: str, what: str, where: str) -> int:
         raise DataError(f"{where}: {what} {token!r} is not numeric") from None
     if not value.is_integer():  # also rejects nan and inf
         raise DataError(f"{where}: {what} {token!r} is not integral")
+    if abs(value) >= 2.0**63:
+        raise DataError(f"{where}: {what} {token!r} is outside the int64 range")
     return int(value)
 
 
-def load_scene_file(path, name: str | None = None, field_order: str = "frame id x y") -> RawTrajectoryTable:
-    """Parse one scene file into a table; errors carry 1-based line numbers."""
+def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTable:
+    """Parse one scene file into a table named by its upper-cased stem; errors carry line numbers."""
     order = tuple(field_order.split())
     if sorted(order) != sorted(FIELD_NAMES):
         raise ConfigError(f"field_order must permute {' '.join(FIELD_NAMES)!r}, got {field_order!r}")
     col = {f: order.index(f) for f in FIELD_NAMES}
 
     path = Path(path)
-    if name is None:
-        name = path.stem.upper()
     frames, ped_ids, xs, ys = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -116,7 +122,7 @@ def load_scene_file(path, name: str | None = None, field_order: str = "frame id 
     if repeated.any():
         raise DataError(f"{path}: duplicate (frame, pedestrian) observation near row {np.argmax(repeated) + 1}")
 
-    return RawTrajectoryTable(name=name, frames=frames, ped_ids=ped_ids, xy=xy)
+    return RawTrajectoryTable(name=path.stem.upper(), frames=frames, ped_ids=ped_ids, xy=xy)
 
 
 def infer_frame_step(table: RawTrajectoryTable) -> int:
@@ -125,13 +131,6 @@ def infer_frame_step(table: RawTrajectoryTable) -> int:
     if len(unique) < 2:
         return 1
     return int(np.diff(unique).min())
-
-
-def to_displacements(scene: TrajectoryScene) -> TrajectoryScene:
-    """Populate per-step observation deltas; the first step is the zero vector."""
-    disp = np.zeros_like(scene.positions_obs)
-    disp[1:] = scene.positions_obs[1:] - scene.positions_obs[:-1]
-    return replace(scene, displacements_obs=disp)
 
 
 def reconstruct_positions(origin: np.ndarray, displacements: np.ndarray) -> np.ndarray:
@@ -179,20 +178,19 @@ def _window_scene(table: RawTrajectoryTable, at_frame: dict, window: list, ids: 
     """Scene of ``ids`` over ``window``: its first ``t_obs`` frames observed, the rest future."""
     rows = [at_frame[frame][pid] for frame in window for pid in ids]
     pos = table.xy[rows].reshape(len(window), len(ids), 2)
-    scene = TrajectoryScene(ids, pos[:t_obs], pos[t_obs:], start_frame=window[0], scene_name=table.name)
-    return to_displacements(scene)
+    return TrajectoryScene(ids, pos[:t_obs], pos[t_obs:], start_frame=window[0], scene_name=table.name)
 
 
-def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int, stride: int = 1) -> list:
+def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int) -> list:
     """Slice a table into complete observation+prediction windows.
 
-    A window starts at every ``stride``-th distinct frame whose next
-    t_obs + t_pred distinct frames are uniformly spaced by the dataset
-    frame step.  A pedestrian joins a window only when present at every
-    one of its frames; windows with no qualifying pedestrian are dropped.
+    A window starts at every distinct frame whose next t_obs + t_pred
+    distinct frames are uniformly spaced by the dataset frame step.  A
+    pedestrian joins a window only when present at every one of its
+    frames; windows with no qualifying pedestrian are dropped.
     """
-    if t_obs < 1 or t_pred < 1 or stride < 1:
-        raise ConfigError(f"t_obs, t_pred, stride must be >= 1, got {t_obs}, {t_pred}, {stride}")
+    if t_obs < 1 or t_pred < 1:
+        raise ConfigError(f"t_obs, t_pred must be >= 1, got {t_obs}, {t_pred}")
     total = t_obs + t_pred
     unique = np.unique(table.frames).tolist()
     if len(unique) < total:
@@ -201,7 +199,7 @@ def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int, stride: in
     at_frame = _frame_index(table, unique[0], unique[-1])
 
     scenes = []
-    for s in range(0, len(unique) - total + 1, stride):
+    for s in range(len(unique) - total + 1):
         window = unique[s : s + total]
         if window[-1] - window[0] != (total - 1) * step:
             continue  # a recording gap interrupts this window
@@ -248,13 +246,13 @@ def load_dataset(data_root, field_order: str = "frame id x y") -> dict:
     return tables
 
 
-def leave_one_out_split(tables: dict, holdout: str, t_obs: int, t_pred: int, stride: int = 1) -> DatasetSplit:
+def leave_one_out_split(tables: dict, holdout: str, t_obs: int, t_pred: int) -> DatasetSplit:
     """Train on every scene except ``holdout``; test on the holdout's windows."""
     if holdout not in tables:
         raise ConfigError(f"holdout {holdout!r} not among scenes {sorted(tables)}")
     train, test = [], []
     for name, table in tables.items():
-        windows = window_scenes(table, t_obs, t_pred, stride)
+        windows = window_scenes(table, t_obs, t_pred)
         if name == holdout:
             test.extend(windows)
         else:

@@ -96,9 +96,10 @@ def asymmetric_conv_features(x: Tensor, layers) -> Tensor:
 
 
 def sparse_mask(features: np.ndarray, xi: float) -> np.ndarray:
-    """Keep-pattern 1{sigmoid(F) >= xi}; a hard gate, constant to backward."""
-    if not 0.0 <= xi <= 1.0:
-        raise ConfigError(f"xi must lie in [0, 1], got {xi}")
+    """Keep-pattern 1{sigmoid(F) >= xi}; a hard gate, constant to backward.
+
+    ``xi`` comes from ModelConfig, which keeps it in [0, 1].
+    """
     return ad._sigmoid(np.asarray(features, dtype=np.float64)) >= xi
 
 
@@ -115,15 +116,21 @@ def sparse_adjacency(mask: np.ndarray, scores: Tensor) -> Tensor:
     return scores * _with_identity(mask).astype(np.float64)
 
 
-def zero_softmax(x: Tensor, eps: float = ZERO_SOFTMAX_EPS) -> Tensor:
+def zero_softmax(x: Tensor) -> Tensor:
     """Row renormalization mapping exact zeros to exact zeros.
 
-    y_i = (exp(x_i) - 1)^2 / (sum_j (exp(x_j) - 1)^2 + eps).  Inputs here
-    are bounded products of row-stochastic scores, so exp cannot overflow.
+    y_i = (exp(x_i) - 1)^2 / (sum_j (exp(x_j) - 1)^2 + eps), with eps =
+    ZERO_SOFTMAX_EPS.  The input is not bounded: the temporal branch passes
+    gated row-stochastic attention scores (in [0, 1]), but the spatial
+    branch passes the gated output of the 1x1 fusion conv, a learned
+    linear map of those scores.  Nothing guards exp: an entry above about
+    355 overflows the square (several entries just below it, the row sum),
+    and one above about 709 overflows exp itself.  The NumericsError names
+    the op that overflowed ('mul', 'sum' or 'exp').
     """
     squashed = ad.exp(x) - 1.0
     squared = squashed * squashed
-    return squared / (ad.tsum(squared, axis=-1, keepdims=True) + eps)
+    return squared / (ad.tsum(squared, axis=-1, keepdims=True) + ZERO_SOFTMAX_EPS)
 
 
 def _conv_stack(weights: dict, prefix: str, n_layers: int):

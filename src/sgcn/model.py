@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .data import reconstruct_positions
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericsError, ShapeError
 from .graphs import build_spatial_graph, build_temporal_graph
 
 CHECKPOINT_MAGIC = "SGCNCKPT"
@@ -277,6 +277,9 @@ def load_checkpoint(path) -> tuple:
     for name, shape in shapes:
         count = int(np.prod(shape)) if shape else 1
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        weights[name] = Tensor(flat.reshape(shape).copy(), requires_grad=True)
+        try:
+            weights[name] = Tensor(flat.reshape(shape).copy(), requires_grad=True)
+        except NumericsError:
+            raise CheckpointError(f"{path}: parameter {name} holds non-finite values") from None
         offset += count * 8
     return weights, cfg

@@ -30,6 +30,8 @@ SIGMA_FLOOR = 1e-8
 # excursions without affecting any realistic scale (e^30 ~ 1e13 meters)
 LOG_SIGMA_MAX = 30.0
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Adam moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
@@ -68,25 +70,24 @@ class Adam:
     untouched; their moment buffers stay zero.
     """
 
-    def __init__(self, weights: dict, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, weights: dict):
         self.step_count = 0
         self.m = {name: np.zeros(t.shape) for name, t in weights.items()}
         self.v = {name: np.zeros(t.shape) for name, t in weights.items()}
 
     def step(self, weights: dict, lr: float, grad_scale: float = 1.0) -> None:
         self.step_count += 1
-        correct1 = 1.0 - self.beta1 ** self.step_count
-        correct2 = 1.0 - self.beta2 ** self.step_count
+        correct1 = 1.0 - ADAM_BETA1 ** self.step_count
+        correct2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in weights.items():
             if p.grad is None:
                 continue
             g = p.grad * grad_scale
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[name] / correct1
             v_hat = self.v[name] / correct2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def write_loss_log(rows, path) -> None:

@@ -45,9 +45,7 @@ def gradcheck_scene(seed):
     org = rng.uniform(0, 6, size=(3, 2))
     pos = org[None] + np.arange(7)[:, None, None] * vel[None]
     pos += rng.normal(scale=0.05, size=pos.shape)
-    return sgcn_data.to_displacements(
-        sgcn_data.TrajectoryScene((1, 2, 3), pos[:4], pos[4:], scene_name="GRAD")
-    )
+    return sgcn_data.TrajectoryScene((1, 2, 3), pos[:4], pos[4:], scene_name="GRAD")
 
 
 def test_c1_gradient_correctness_primitives_and_full_model():
@@ -203,9 +201,9 @@ def test_c5_metric_oracles_and_best_of_k_monotonicity():
         n = int(rng.integers(2, 5))
         pos = fixture_positions(rng.normal(scale=0.4, size=(n, 2)),
                                 rng.uniform(0, 8, size=(n, 2)), seed=400 + i, steps=7)
-        scenes.append(sgcn_data.to_displacements(
+        scenes.append(
             sgcn_data.TrajectoryScene(tuple(range(1, n + 1)), pos[:4], pos[4:], scene_name="M")
-        ))
+        )
     for eval_seed in range(20):
         single = ev.evaluate_best_of_k(weights, cfg, scenes, k=1, seed=eval_seed)
         best20 = ev.evaluate_best_of_k(weights, cfg, scenes, k=20, seed=eval_seed)

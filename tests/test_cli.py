@@ -13,6 +13,7 @@ from sgcn import cli
 from sgcn import data as sgcn_data
 from sgcn import evaluation as ev
 from sgcn import training as tr
+from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig, TrainConfig, read_config_file
 from sgcn.model import init_weights, load_checkpoint, save_checkpoint
 
@@ -286,6 +287,29 @@ class TestPredictCommand:
         ])
         assert code == 2
         assert "bad.ckpt" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_payload_exits_2(self, overfit_run, tmp_path, capsys):
+        weights = {name: Tensor(w.data.copy()) for name, w in overfit_run.weights.items()}
+        weights["out_proj_b"].data[0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, weights, overfit_run.model_cfg)
+        code = run_cli([
+            "predict", "--checkpoint", bad,
+            "--scene-file", overfit_run.data_root / "fix1.txt", "--out", tmp_path / "o",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "nan.ckpt" in err and "out_proj_b" in err
+
+    def test_id_beyond_int64_exits_2(self, overfit_run, tmp_path, capsys):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("0 10000000000000000000 1.0 1.0\n")
+        code = run_cli([
+            "predict", "--checkpoint", overfit_run.checkpoint,
+            "--scene-file", huge, "--out", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "huge.txt:1: pedestrian_id" in capsys.readouterr().err
 
     def test_short_file_errors_with_path(self, overfit_run, tmp_path, capsys):
         short = tmp_path / "short.txt"

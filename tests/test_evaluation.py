@@ -22,13 +22,12 @@ def random_scenes(n_scenes=4, seed=0):
         vel = rng.normal(scale=0.4, size=(n, 2))
         org = rng.uniform(0, 8, size=(n, 2))
         pos = fixture_positions(vel, org, seed=100 + i, steps=7)
-        scene = sgcn_data.TrajectoryScene(
+        scenes.append(sgcn_data.TrajectoryScene(
             pedestrian_ids=tuple(range(1, n + 1)),
             positions_obs=pos[:4],
             positions_fut=pos[4:],
             scene_name=f"S{i % 2}",
-        )
-        scenes.append(sgcn_data.to_displacements(scene))
+        ))
     return scenes
 
 

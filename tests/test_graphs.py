@@ -11,7 +11,7 @@ from sgcn import graphs as gg
 from sgcn import model as mm
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig
-from sgcn.errors import ConfigError
+from sgcn.errors import ConfigError, NumericsError
 
 CFG = ModelConfig()
 
@@ -219,8 +219,9 @@ class TestSparseMask:
         assert gg.sparse_mask(rng.normal(size=(5, 5)), 0.0).all()
 
     def test_out_of_range_xi_rejected(self):
-        with pytest.raises(ConfigError):
-            gg.sparse_mask(np.zeros((2, 2)), 1.5)
+        # sparse_mask takes xi from ModelConfig, which owns the range check
+        with pytest.raises(ConfigError, match="xi must lie in"):
+            ModelConfig(xi=1.5)
 
 
 class TestSparseAdjacency:
@@ -274,6 +275,16 @@ class TestZeroSoftmax:
         out = gg.zero_softmax(Tensor(x)).data
         assert np.all(out >= 0.0)
         assert np.array_equal(out == 0.0, x == 0.0)
+
+    @pytest.mark.parametrize("row, op", [
+        ([400.0, 0.0, 1.0], "mul"),
+        ([354.5, 354.5, 354.5], "sum"),
+        ([1000.0, 0.0, 1.0], "exp"),
+    ])
+    def test_unbounded_input_overflow_raises(self, row, op):
+        # the spatial branch feeds unbounded fused features; nothing guards exp
+        with pytest.raises(NumericsError, match=f"'{op}'"), np.errstate(over="ignore"):
+            gg.zero_softmax(Tensor([row]))
 
 
 class TestBuildSpatialGraph:

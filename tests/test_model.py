@@ -356,6 +356,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="payload"):
             mm.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_names_file_and_parameter(self, tmp_path, value):
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=14)
+        w["out_proj_b"].data[0] = value
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, w, cfg)
+        with pytest.raises(CheckpointError, match="parameter out_proj_b holds non-finite values") as info:
+            mm.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_missing_end_marker(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"SGCNCKPT 1\nt_obs=4\n")

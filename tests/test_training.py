@@ -22,13 +22,12 @@ def small_scenes():
     out = []
     for name, vel, org, seed in FIXTURE_SCENES:
         pos = fixture_positions(vel, org, seed, steps=7)
-        scene = sgcn_data.TrajectoryScene(
+        out.append(sgcn_data.TrajectoryScene(
             pedestrian_ids=(1, 2, 3),
             positions_obs=pos[:4],
             positions_fut=pos[4:],
             scene_name=name.upper(),
-        )
-        out.append(sgcn_data.to_displacements(scene))
+        ))
     return out
 
 
@@ -203,9 +202,8 @@ class TestTrainLoop:
         scene = small_scenes()[0]
         bad = sgcn_data.TrajectoryScene(
             pedestrian_ids=scene.pedestrian_ids,
-            positions_obs=scene.positions_obs,
+            positions_obs=np.full_like(scene.positions_obs, np.nan),
             positions_fut=scene.positions_fut,
-            displacements_obs=np.full_like(scene.displacements_obs, np.nan),
             scene_name="BADSCENE",
         )
         with pytest.raises(NumericsError, match="BADSCENE"):
@@ -255,3 +253,18 @@ def test_forward_raw_shape_matches_loss_contract():
     weights = init_weights(SMALL_CFG, seed=0)
     raw, _, _ = forward(scenes[0].displacements_obs, weights, SMALL_CFG)
     assert raw.shape == (SMALL_CFG.t_pred, 3, 5)
+
+
+def test_gate_cascade_parameters_never_learn():
+    # The asymmetric conv cascade only feeds the hard mask, which is a
+    # constant to backward: its parameters get no gradient, every other one does.
+    name, vel, org, seed = FIXTURE_SCENES[0]
+    pos = fixture_positions(vel, org, seed)
+    cfg = ModelConfig()
+    scene = sgcn_data.TrajectoryScene((1, 2, 3), pos[: cfg.t_obs], pos[cfg.t_obs :], scene_name=name)
+    weights = init_weights(cfg, seed=0)
+    ad.backward(tr.scene_loss(scene, weights, cfg))
+    no_grad = {n for n, w in weights.items() if w.grad is None}
+    assert no_grad == {n for n in weights if n.startswith(("spa_conv", "tmp_conv"))}
+    assert (len(no_grad), len(weights)) == (70, 106)
+    assert sum(weights[n].data.size for n in no_grad) == 2870
