@@ -65,16 +65,20 @@ class DatasetSplit:
 
 
 def _parse_int_field(token: str, what: str, where: str) -> int:
-    # Some dataset exports write ids as "1.0"; accept integral decimals.
+    # int() keeps ids beyond 2**53 exact; float() accepts exports that write ids as "1.0".
     try:
-        value = float(token)
+        value = int(token)
     except ValueError:
-        raise DataError(f"{where}: {what} {token!r} is not numeric") from None
-    if not value.is_integer():  # also rejects nan and inf
-        raise DataError(f"{where}: {what} {token!r} is not integral")
-    if abs(value) >= 2.0**63:
+        try:
+            value = float(token)
+        except ValueError:
+            raise DataError(f"{where}: {what} {token!r} is not numeric") from None
+        if not value.is_integer():  # also rejects nan and inf
+            raise DataError(f"{where}: {what} {token!r} is not integral")
+        value = int(value)
+    if abs(value) >= 2**63:
         raise DataError(f"{where}: {what} {token!r} is outside the int64 range")
-    return int(value)
+    return value
 
 
 def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTable:
@@ -153,32 +157,29 @@ def future_displacements(scene: TrajectoryScene) -> np.ndarray:
     return out
 
 
-def _frame_index(table: RawTrajectoryTable, first: int, last: int) -> dict:
-    """frame -> {pedestrian -> row} over the rows with first <= frame <= last."""
-    lo = int(np.searchsorted(table.frames, first, side="left"))
-    hi = int(np.searchsorted(table.frames, last, side="right"))
-    at_frame: dict = {}
-    frames, ped_ids = table.frames[lo:hi].tolist(), table.ped_ids[lo:hi].tolist()
-    for row, frame, pid in zip(range(lo, hi), frames, ped_ids):
-        at_frame.setdefault(frame, {})[pid] = row
-    return at_frame
+def _runs(frames: np.ndarray, ped_ids: np.ndarray, unique: np.ndarray, length: int) -> tuple:
+    """(start, rows) of every run of ``length`` consecutive ``unique`` frames one pedestrian is present at.
+
+    ``rows[r]`` holds run r's indices into ``frames`` in frame order, ``start[r]`` the index in
+    ``unique`` (the sorted distinct frames) of its first frame.  Runs are ordered by (start, pedestrian).
+    """
+    order = np.lexsort((frames, ped_ids))
+    at = np.searchsorted(unique, frames[order])
+    peds = ped_ids[order]
+    follows = (peds[1:] == peds[:-1]) & (at[1:] == at[:-1] + 1)  # row i + 1 continues row i's run
+    done = np.concatenate(([0], np.cumsum(follows)))
+    first = np.arange(len(order) - length + 1)
+    first = first[done[first + length - 1] - done[first] == length - 1]
+    first = first[np.lexsort((peds[first], at[first]))]
+    return at[first], order[first[:, None] + np.arange(length)]
 
 
-def _present_ids(at_frame: dict, window: list) -> tuple:
-    """Sorted ids of the pedestrians observed at every frame of ``window``."""
-    present = set(at_frame[window[0]])
-    for frame in window[1:]:
-        present.intersection_update(at_frame[frame])
-        if not present:
-            break
-    return tuple(sorted(present))
-
-
-def _window_scene(table: RawTrajectoryTable, at_frame: dict, window: list, ids: tuple, t_obs: int):
-    """Scene of ``ids`` over ``window``: its first ``t_obs`` frames observed, the rest future."""
-    rows = [at_frame[frame][pid] for frame in window for pid in ids]
-    pos = table.xy[rows].reshape(len(window), len(ids), 2)
-    return TrajectoryScene(ids, pos[:t_obs], pos[t_obs:], start_frame=window[0], scene_name=table.name)
+def _scene(table: RawTrajectoryTable, rows: np.ndarray, t_obs: int) -> TrajectoryScene:
+    """Scene of the [N, T] table ``rows``: its first ``t_obs`` frames observed, the rest future."""
+    pos = table.xy[rows.T]
+    ids = tuple(table.ped_ids[rows[:, 0]].tolist())
+    start_frame = int(table.frames[rows[0, 0]])
+    return TrajectoryScene(ids, pos[:t_obs], pos[t_obs:], start_frame=start_frame, scene_name=table.name)
 
 
 def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int) -> list:
@@ -192,21 +193,15 @@ def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int) -> list:
     if t_obs < 1 or t_pred < 1:
         raise ConfigError(f"t_obs, t_pred must be >= 1, got {t_obs}, {t_pred}")
     total = t_obs + t_pred
-    unique = np.unique(table.frames).tolist()
-    if len(unique) < total:
-        return []
-    step = infer_frame_step(table)
-    at_frame = _frame_index(table, unique[0], unique[-1])
-
-    scenes = []
-    for s in range(len(unique) - total + 1):
-        window = unique[s : s + total]
-        if window[-1] - window[0] != (total - 1) * step:
-            continue  # a recording gap interrupts this window
-        ids = _present_ids(at_frame, window)
-        if ids:
-            scenes.append(_window_scene(table, at_frame, window, ids, t_obs))
-    return scenes
+    unique = np.unique(table.frames)
+    # Spacing in Python ints, which cannot wrap as int64 differences can.
+    distinct, span = unique.tolist(), (total - 1) * infer_frame_step(table)
+    uniform = np.array([last - first == span for first, last in zip(distinct, distinct[total - 1:])], bool)
+    start, rows = _runs(table.frames, table.ped_ids, unique, total)
+    keep = uniform[start]  # a recording gap interrupts the others
+    start, rows = start[keep], rows[keep]
+    edges = np.flatnonzero(np.diff(start, prepend=-1)).tolist() + [len(start)]
+    return [_scene(table, rows[a:b], t_obs) for a, b in zip(edges, edges[1:])]
 
 
 def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
@@ -218,18 +213,19 @@ def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
     unique = np.unique(table.frames)
     if len(unique) < t_obs:
         raise DataError(f"{source}: needs at least {t_obs} distinct frames, found {len(unique)}")
-    window = unique[-t_obs:].tolist()
-    if window[-1] - window[0] != (t_obs - 1) * infer_frame_step(table):
+    window = unique[-t_obs:]
+    if int(window[-1]) - int(window[0]) != (t_obs - 1) * infer_frame_step(table):
         raise DataError(f"{source}: recording gap inside the last {t_obs} frames")
-    at_frame = _frame_index(table, window[0], window[-1])
-    ids = _present_ids(at_frame, window)
+    lo = int(np.searchsorted(table.frames, window[0]))
+    rows = lo + _runs(table.frames[lo:], table.ped_ids[lo:], window, t_obs)[1]
+    ids = table.ped_ids[rows[:, 0]].tolist()
     dropped = sorted(set(np.unique(table.ped_ids).tolist()).difference(ids))
     if not ids:
         raise DataError(
             f"{source}: no pedestrian observed at all of the last {t_obs} frames; "
             f"dropped pedestrians {dropped}"
         )
-    return _window_scene(table, at_frame, window, ids, t_obs), dropped
+    return _scene(table, rows, t_obs), dropped
 
 
 def load_dataset(data_root, field_order: str = "frame id x y") -> dict:

@@ -10,6 +10,7 @@ checkpoint format.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
@@ -268,14 +269,14 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointError(f"{path}: unexpected parameters {sorted(extra)}")
 
     payload = blob[len(head) + len(b"\nEND\n"):]
-    total = sum(int(np.prod(shape)) if shape else 1 for _, shape in shapes)
+    total = sum(math.prod(shape) for _, shape in shapes)
     if len(payload) != total * 8:
         raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {total * 8}")
 
     weights = {}
     offset = 0
     for name, shape in shapes:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         try:
             weights[name] = Tensor(flat.reshape(shape).copy(), requires_grad=True)

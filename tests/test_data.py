@@ -76,6 +76,13 @@ class TestLoadSceneFile:
         with pytest.raises(DataError, match="duplicate .* near row 2"):
             dd.load_scene_file(p)
 
+    def test_ids_beyond_float_precision_stay_exact(self, tmp_path):
+        # 2**53 + 1 and 2**53 are one float64 value
+        p = write_lines(tmp_path / "big.txt", ["0 9007199254740993 1.0 1.0", "0 9007199254740992 2.0 2.0"])
+        table = dd.load_scene_file(p)
+        assert table.ped_ids.tolist() == [9007199254740992, 9007199254740993]
+        assert table.xy.tolist() == [[2.0, 2.0], [1.0, 1.0]]
+
     def test_empty_file_rejected(self, tmp_path):
         p = write_lines(tmp_path / "empty.txt", [""])
         with pytest.raises(DataError, match="no trajectory rows"):
@@ -153,6 +160,12 @@ class TestWindowScenes:
             assert np.array_equal(sa.positions_obs, sb.positions_obs)
             assert np.array_equal(sa.positions_fut, sb.positions_fut)
 
+    def test_frame_span_beyond_int64(self):
+        # 20 frames 5e17 apart span 9.5e18 > 2**63 - 1: the spacing check must not wrap
+        rows = walk_rows(1, -5 * 10**18, 20, step=5 * 10**17)
+        scenes = dd.window_scenes(make_table(rows), 8, 12)
+        assert [s.start_frame for s in scenes] == [-5 * 10**18]
+
     def test_ids_sorted_within_window(self):
         rows = walk_rows(9, 0, 20) + walk_rows(2, 0, 20, x0=4.0)
         scenes = dd.window_scenes(make_table(rows), 8, 12)
@@ -182,6 +195,9 @@ def brute_force_windows(table, t_obs, t_pred):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@example(9, 1)  # a lone track's missed observation is a recording gap
+@example(48, 2)  # a recording gap before a late pedestrian
+@example(11, 2)  # one track ends the frame before another starts
 @settings(max_examples=40, deadline=None)
 def test_windowing_matches_brute_force(seed, n_peds):
     rng = np.random.default_rng(seed)
@@ -189,7 +205,12 @@ def test_windowing_matches_brute_force(seed, n_peds):
     for pid in range(1, n_peds + 1):
         start = int(rng.integers(0, 8))
         length = int(rng.integers(1, 26))
-        rows.extend(walk_rows(pid, start * 10, length, x0=float(pid)))
+        track = walk_rows(pid, start * 10, length, x0=float(pid))
+        if length > 1 and rng.integers(0, 2):  # one missed observation
+            del track[int(rng.integers(0, length))]
+        rows.extend(track)
+    if rng.integers(0, 2):  # a recording gap before a late pedestrian
+        rows.extend(walk_rows(n_peds + 1, 400, int(rng.integers(1, 14))))
     dedup = {}
     for r in rows:
         dedup[(r[0], r[1])] = r
@@ -198,9 +219,15 @@ def test_windowing_matches_brute_force(seed, n_peds):
     got = dd.window_scenes(table, t_obs, t_pred)
     want = brute_force_windows(table, t_obs, t_pred)
     assert [(s.start_frame, s.pedestrian_ids) for s in got] == want
+    unique = sorted(set(table.frames.tolist()))
+    xy_at = {(int(f), int(p)): xy for f, p, xy in zip(table.frames, table.ped_ids, table.xy)}
     for s in got:
-        # presence invariant: every listed pedestrian appears at all frames
-        assert np.isfinite(s.positions_obs).all() and np.isfinite(s.positions_fut).all()
+        first = unique.index(s.start_frame)
+        window = unique[first : first + t_obs + t_pred]
+        expected = np.array([[xy_at[(f, p)] for p in s.pedestrian_ids] for f in window])
+        assert np.array_equal(s.positions_obs, expected[:t_obs])
+        assert np.array_equal(s.positions_fut, expected[t_obs:])
+        assert s.positions_obs.flags.c_contiguous and s.positions_fut.flags.c_contiguous
         assert s.displacements_obs.shape == s.positions_obs.shape
 
 
