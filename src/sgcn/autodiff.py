@@ -310,7 +310,10 @@ def matmul(a, b) -> Tensor:
 
     def vjp(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        if b.ndim == 2:  # a shared weight: one gemm over every row of every slice
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return Tensor(out, _parents=(a, b), _vjp=vjp, _op="matmul")

@@ -37,7 +37,7 @@ _FLAGS = {
     "xi": "graph sparsity threshold in [0, 1]",
     "seed": None, "num_samples": None,
     "out": "output directory for artifacts",
-    "jobs": "evaluation worker threads",
+    "jobs": "evaluation worker threads; each runs whole groups of equal-N windows",
     "checkpoint": "model checkpoint path",
     "scene_file": "single trajectory file to run on",
 }

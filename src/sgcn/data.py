@@ -131,10 +131,10 @@ def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTab
 
 def infer_frame_step(table: RawTrajectoryTable) -> int:
     """Smallest gap between consecutive distinct frame ids (1 if only one frame)."""
-    unique = np.unique(table.frames)
+    unique = np.unique(table.frames).tolist()
     if len(unique) < 2:
         return 1
-    return int(np.diff(unique).min())
+    return min(b - a for a, b in zip(unique, unique[1:]))  # Python ints: an int64 difference can wrap
 
 
 def reconstruct_positions(origin: np.ndarray, displacements: np.ndarray) -> np.ndarray:
@@ -207,8 +207,10 @@ def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int) -> list:
 def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
     """(observation-only scene of the last ``t_obs`` frames, sorted ids left out).
 
-    Same rules as :func:`window_scenes`.  Too few frames, a gap, or nobody
-    present at every frame raise a DataError naming ``source``.
+    Same rules as :func:`window_scenes`.  The ids left out are those seen
+    in the last ``t_obs`` frames but not at every one of them.  Too few
+    frames, a gap, or nobody present at every frame raise a DataError
+    naming ``source``.
     """
     unique = np.unique(table.frames)
     if len(unique) < t_obs:
@@ -219,7 +221,7 @@ def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
     lo = int(np.searchsorted(table.frames, window[0]))
     rows = lo + _runs(table.frames[lo:], table.ped_ids[lo:], window, t_obs)[1]
     ids = table.ped_ids[rows[:, 0]].tolist()
-    dropped = sorted(set(np.unique(table.ped_ids).tolist()).difference(ids))
+    dropped = sorted(set(table.ped_ids[lo:].tolist()).difference(ids))
     if not ids:
         raise DataError(
             f"{source}: no pedestrian observed at all of the last {t_obs} frames; "

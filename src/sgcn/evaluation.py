@@ -3,9 +3,14 @@
 ADE is the mean Euclidean distance over all predicted steps and
 pedestrians; FDE the mean distance at the final step.  Evaluation draws
 K trajectories per scene and keeps, per pedestrian, the sample with the
-smallest ADE; that same sample supplies the pedestrian's FDE.  Each
-scene owns a spawned child seed, so results are independent of
-evaluation order and of the number of worker threads.
+smallest ADE; that same sample supplies the pedestrian's FDE.
+
+Scenes of equal pedestrian count are grouped (see
+INFER_GROUP_PEDESTRIANS) and each group runs one forward pass on
+constant weights, so inference records no autodiff tape.  Worker
+threads take whole groups.  Each scene owns a spawned child seed and
+its forward output does not depend on its group, so results are
+identical for any grouping, evaluation order, and number of threads.
 """
 
 from __future__ import annotations
@@ -17,9 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import ConfigError
-from .model import mu_trajectory, predict, sample_trajectory
+from .model import group_by_size, mu_trajectory, predict, sample_trajectory
+
+# Cap on the window-pedestrians (sum of N) of one inference group.  With
+# no tape, a forward pass peaks near 55 KB per window-pedestrian
+# (tracemalloc), a quarter of a training tape, so 48 needs about what a
+# training group of 12 does.  On the bench's sparse-crowd workload caps of
+# 24/48/96 gave 1092/1283/1270 eval windows/s at equal peak RSS.
+INFER_GROUP_PEDESTRIANS = 48
 
 
 def ade(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -54,14 +67,29 @@ def _path_errors(paths: np.ndarray, gt: np.ndarray) -> tuple:
     return dist.mean(axis=-2), dist[..., -1, :]
 
 
-def _scene_best_of_k(scene, weights, cfg, k, child_seed):
-    """Per-pedestrian (best ADE, its FDE) for one scene."""
-    params = predict(scene.displacements_obs, weights, cfg)
-    samples = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(child_seed), k)
-    ade_kn, fde_kn = _path_errors(samples, scene.positions_fut)
-    best = np.argmin(ade_kn, axis=0)
-    picked = np.arange(scene.n_pedestrians)
-    return ade_kn[best, picked], fde_kn[best, picked]
+def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
+    """``score(i, params)`` for every scene i, in scene order.
+
+    ``params`` is scene i's BiGaussianParams, from one tape-free forward
+    pass per equal-N group; ``jobs`` threads run whole groups.
+    """
+    frozen = {name: Tensor(p.data) for name, p in weights.items()}  # constants: no tape is recorded
+    groups = group_by_size([s.n_pedestrians for s in scenes], INFER_GROUP_PEDESTRIANS)
+
+    def run(group):
+        params = predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg)
+        return [score(i, params.window(b)) for b, i in enumerate(group)]
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outputs = list(pool.map(run, groups))
+    else:
+        outputs = [run(group) for group in groups]
+    results = [None] * len(scenes)
+    for group, output in zip(groups, outputs):
+        for i, result in zip(group, output):
+            results[i] = result
+    return results
 
 
 def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int = 0, jobs: int = 1) -> MetricsReport:
@@ -73,15 +101,16 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
     start = time.monotonic()
     children = np.random.SeedSequence(seed).spawn(len(scenes))
 
-    def run(pair):
-        scene, child = pair
-        return _scene_best_of_k(scene, weights, cfg, k, child)
+    def best_of_k(i, params):
+        """Per-pedestrian (best ADE, its FDE) for scene i."""
+        scene = scenes[i]
+        samples = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(children[i]), k)
+        ade_kn, fde_kn = _path_errors(samples, scene.positions_fut)
+        best = np.argmin(ade_kn, axis=0)
+        picked = np.arange(scene.n_pedestrians)
+        return ade_kn[best, picked], fde_kn[best, picked]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, zip(scenes, children)))
-    else:
-        results = [run(pair) for pair in zip(scenes, children)]
+    results = _per_scene(best_of_k, weights, cfg, scenes, jobs)
 
     all_ade = np.concatenate([r[0] for r in results])
     all_fde = np.concatenate([r[1] for r in results])
@@ -111,11 +140,10 @@ def mu_path_metrics(weights, cfg: ModelConfig, scenes) -> tuple:
     """(ADE, FDE) of the deterministic mean path, no sampling."""
     if not scenes:
         raise ConfigError("evaluation requires at least one scene window")
-    ades, fdes = zip(*(
-        _path_errors(mu_trajectory(predict(scene.displacements_obs, weights, cfg), scene.positions_obs[-1]),
-                     scene.positions_fut)
-        for scene in scenes
-    ))
+    def mu_path(i, params):
+        return _path_errors(mu_trajectory(params, scenes[i].positions_obs[-1]), scenes[i].positions_fut)
+
+    ades, fdes = zip(*_per_scene(mu_path, weights, cfg, scenes))
     return float(np.concatenate(ades).mean()), float(np.concatenate(fdes).mean())
 
 

@@ -8,6 +8,11 @@ masked so no past step attends to the future).  Scores pass through a
 row/column convolutions, a hard sparsity threshold on the sigmoid of the
 resulting features, and a zero-preserving renormalization, yielding
 asymmetric, row-normalized, genuinely sparse adjacency tensors.
+
+Windows with the same pedestrian count N stack along a leading batch
+axis: displacements [B, T_obs, N, 2] give spatial slices [B, T_obs, N, N]
+and temporal slices [B*N, T_obs, T_obs], pedestrian-major.  A single
+window [T_obs, N, 2] takes the same path with no leading axis.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def attention_scores(embeddings: Tensor, w_q, b_q, w_k, b_k, mask: np.ndarray | 
 def fuse_spatial_temporal(stacked: Tensor, kernels, bias) -> Tensor:
     """Mix the per-time-step score stack with a 1x1 conv over time channels."""
     kernels = ad.as_tensor(kernels)
-    t_obs = stacked.shape[0]
+    t_obs = stacked.shape[-3]
     if kernels.shape != (t_obs, t_obs, 1, 1):
         raise ConfigError(
             f"fusion kernels must be [{t_obs},{t_obs},1,1] for a {t_obs}-step stack, got {kernels.shape}"
@@ -146,14 +151,32 @@ def _conv_stack(weights: dict, prefix: str, n_layers: int):
     ]
 
 
-def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
-    """Learn the pedestrian-interaction adjacency from one observed window.
+def _swap_outer_pair(x: Tensor) -> Tensor:
+    """[..., A, B, D] -> [..., B, A, D]."""
+    axes = list(range(x.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return ad.permute(x, axes)
 
-    ``displacements`` is [T_obs, N, 2].  Returns (SparseAdjacency with
-    [T_obs, N, N] slices, node embeddings [T_obs, N, D] for the GCN).
+
+def pedestrian_major(x: Tensor) -> Tensor:
+    """Step-major [..., T, N, D] -> pedestrian-major [(...)*N, T, D]."""
+    return ad.reshape(_swap_outer_pair(x), (-1, x.shape[-3], x.shape[-1]))
+
+
+def step_major(x: Tensor, lead_shape: tuple, n: int) -> Tensor:
+    """Pedestrian-major [(...)*N, T, D] -> step-major [..., T, N, D]; inverse of pedestrian_major."""
+    return _swap_outer_pair(ad.reshape(x, tuple(lead_shape) + (n,) + x.shape[-2:]))
+
+
+def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
+    """Learn the pedestrian-interaction adjacency of one window or an equal-N group.
+
+    ``displacements`` is [T_obs, N, 2] or [B, T_obs, N, 2].  Returns
+    (SparseAdjacency with [..., T_obs, N, N] slices, node embeddings
+    [..., T_obs, N, D] for the GCN).
     """
     x = ad.as_tensor(displacements)
-    t_obs, n, _ = x.shape
+    t_obs = x.shape[-3]
     if t_obs != cfg.t_obs:
         raise ConfigError(f"window has {t_obs} observed steps, config expects {cfg.t_obs}")
 
@@ -171,13 +194,15 @@ def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
 def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
     """Learn each pedestrian's motion-tendency adjacency over time steps.
 
-    Returns (SparseAdjacency with [N, T_obs, T_obs] slices, embeddings
-    [N, T_obs, D]).  Slices are upper triangular: a step only influences
-    itself and later steps.  The score stack is used directly, with no
-    channel fusion, because the pedestrian count varies scene to scene.
+    ``displacements`` is [T_obs, N, 2] or [B, T_obs, N, 2].  Returns
+    (SparseAdjacency with [B*N, T_obs, T_obs] slices, embeddings
+    [B*N, T_obs, D]), pedestrian-major; B is 1 for a single window.
+    Slices are upper triangular: a step only influences itself and later
+    steps.  The score stack is used directly, with no channel fusion,
+    because the pedestrian count varies scene to scene.
     """
-    x = ad.permute(ad.as_tensor(displacements), (1, 0, 2))
-    n, t_obs, _ = x.shape
+    x = pedestrian_major(ad.as_tensor(displacements))
+    t_obs = x.shape[-2]
     if t_obs != cfg.t_obs:
         raise ConfigError(f"window has {t_obs} observed steps, config expects {cfg.t_obs}")
 
@@ -192,9 +217,9 @@ def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
         weights["tmp_key_b"],
         mask=causal,
     )
-    stacked = ad.reshape(scores, (n, 1, t_obs, t_obs))
+    stacked = ad.reshape(scores, (-1, 1, t_obs, t_obs))
     features = asymmetric_conv_features(stacked, _conv_stack(weights, "tmp", cfg.conv_layers))
-    features = ad.reshape(features, (n, t_obs, t_obs))
+    features = ad.reshape(features, (-1, t_obs, t_obs))
     mask = sparse_mask(features.data, cfg.xi) & causal
     raw = sparse_adjacency(mask, scores)
     return SparseAdjacency(normalized=zero_softmax(raw), mask=_with_identity(mask) & causal, raw=raw), h0

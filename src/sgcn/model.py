@@ -4,8 +4,10 @@ The learned spatial and temporal adjacencies each drive a one-layer GCN;
 one branch mixes pedestrians first and time steps second, the other the
 reverse, and their summed features feed a stack of time-channel convs
 that maps 8 observed steps to 12 future steps of bi-variate Gaussian
-displacement parameters.  Also home to weight init, sampling, and the
-checkpoint format.
+displacement parameters.  Every stage takes a single window or a group
+of windows with equal pedestrian count stacked on a leading axis (see
+graphs.py for the layouts).  Also home to weight init, grouping, sampling,
+and the checkpoint format.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .data import reconstruct_positions
 from .errors import CheckpointError, ConfigError, NumericsError, ShapeError
-from .graphs import build_spatial_graph, build_temporal_graph
+from .graphs import build_spatial_graph, build_temporal_graph, pedestrian_major, step_major
 
 CHECKPOINT_MAGIC = "SGCNCKPT"
 CHECKPOINT_VERSION = 1
@@ -32,9 +34,13 @@ CHECKPOINT_VERSION = 1
 class BiGaussianParams:
     """Per-step, per-pedestrian displacement distribution (plain arrays)."""
 
-    mu: np.ndarray       # [T_pred, N, 2]
-    sigma: np.ndarray    # [T_pred, N, 2], positive
-    rho: np.ndarray      # [T_pred, N], in (-1, 1)
+    mu: np.ndarray       # [..., T_pred, N, 2]
+    sigma: np.ndarray    # [..., T_pred, N, 2], positive
+    rho: np.ndarray      # [..., T_pred, N], in (-1, 1)
+
+    def window(self, b: int) -> "BiGaussianParams":
+        """Window ``b`` of a group's parameters."""
+        return BiGaussianParams(self.mu[b], self.sigma[b], self.rho[b])
 
 
 def _glorot(rng, shape, fan_in, fan_out) -> np.ndarray:
@@ -99,6 +105,23 @@ def zero_grads(weights: dict) -> None:
         tensor.zero_grad()
 
 
+def group_by_size(sizes, budget: int) -> list:
+    """Split window indices into groups of equal size, each summing to at most ``budget``.
+
+    ``sizes[i]`` is window i's pedestrian count.  Groups are listed in
+    order of their first window and hold their windows in input order; a
+    window larger than the budget forms a group of its own.
+    """
+    groups, open_groups = [], {}
+    for i, n in enumerate(sizes):
+        group = open_groups.get(n)
+        if group is None or (len(group) + 1) * n > budget:
+            group = open_groups[n] = []
+            groups.append(group)
+        group.append(i)
+    return groups
+
+
 def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
     """One propagation step: receivers aggregate their influencers.
 
@@ -111,24 +134,25 @@ def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor
 
 
 def interaction_tendency_branch(spa_adj: Tensor, tmp_adj: Tensor, h0_spa: Tensor, w: dict) -> Tensor:
-    """Pedestrian mixing per time step, then step mixing per pedestrian -> [N, T, D]."""
+    """Pedestrian mixing per time step, then step mixing per pedestrian -> [B*N, T, D]."""
     spatial = gcn_layer(spa_adj, h0_spa, w["gcn_spa1_w"], w["gcn_spa1_slope"])
-    return gcn_layer(tmp_adj, ad.permute(spatial, (1, 0, 2)), w["gcn_tmp1_w"], w["gcn_tmp1_slope"])
+    return gcn_layer(tmp_adj, pedestrian_major(spatial), w["gcn_tmp1_w"], w["gcn_tmp1_slope"])
 
 
 def tendency_interaction_branch(spa_adj: Tensor, tmp_adj: Tensor, h0_tmp: Tensor, w: dict) -> Tensor:
-    """Step mixing per pedestrian, then pedestrian mixing per time step -> [T, N, D]."""
+    """Step mixing per pedestrian, then pedestrian mixing per time step -> [..., T, N, D]."""
     temporal = gcn_layer(tmp_adj, h0_tmp, w["gcn_tmp2_w"], w["gcn_tmp2_slope"])
-    return gcn_layer(spa_adj, ad.permute(temporal, (1, 0, 2)), w["gcn_spa2_w"], w["gcn_spa2_slope"])
+    per_step = step_major(temporal, spa_adj.shape[:-3], spa_adj.shape[-1])
+    return gcn_layer(spa_adj, per_step, w["gcn_spa2_w"], w["gcn_spa2_slope"])
 
 
 def fuse_branches(h_itf: Tensor, h_tif: Tensor) -> Tensor:
-    """Elementwise sum in time-major layout [T, N, D]."""
-    return ad.permute(h_itf, (1, 0, 2)) + h_tif
+    """Elementwise sum in time-major layout [..., T, N, D]."""
+    return step_major(h_itf, h_tif.shape[:-3], h_tif.shape[-2]) + h_tif
 
 
 def tcn_head(h: Tensor, weights: dict, cfg: ModelConfig) -> Tensor:
-    """Map fused features [T_obs, N, D] to raw outputs [T_pred, N, 5].
+    """Map fused features [..., T_obs, N, D] to raw outputs [..., T_pred, N, 5].
 
     Time steps act as conv channels; kernels are 1 wide on the pedestrian
     axis (order must not matter) and ``conv_kernel`` wide on features.
@@ -142,7 +166,10 @@ def tcn_head(h: Tensor, weights: dict, cfg: ModelConfig) -> Tensor:
 
 
 def forward(displacements, weights: dict, cfg: ModelConfig):
-    """Full pass: observed displacements [T_obs, N, 2] -> raw head output [T_pred, N, 5].
+    """Full pass: observed displacements [..., T_obs, N, 2] -> raw head output [..., T_pred, N, 5].
+
+    The leading axis, if any, stacks windows of equal N; each window's
+    output is bit-identical to its own single-window pass.
 
     Returns (raw, spatial SparseAdjacency, temporal SparseAdjacency).
     """

@@ -1,7 +1,8 @@
 """Negative-log-likelihood training with Adam and stepped lr decay.
 
 Scenes have variable pedestrian counts, so a "batch" is a gradient
-accumulation window: per-scene losses are backpropagated one at a time,
+accumulation window: its scenes are split into groups of equal
+pedestrian count, each group runs one forward and one backward pass,
 accumulated gradients are averaged over the window, and Adam steps once
 per window.  The objective per scene is the bi-variate Gaussian NLL of
 the ground-truth future displacements, summed over future steps and
@@ -20,7 +21,7 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
 from .errors import ConfigError, NumericsError
-from .model import forward, init_weights, save_checkpoint, zero_grads
+from .model import forward, group_by_size, init_weights, save_checkpoint, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -32,17 +33,25 @@ LOG_SIGMA_MAX = 30.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Adam moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Cap on the window-pedestrians (sum of N) of one training group.  A
+# training tape holds about 220 KB per window-pedestrian (tracemalloc,
+# default ModelConfig), so 12 caps a group's tape near 2.7 MB.  On the
+# bench's sparse-crowd workload (N ~ 2, 2-core VM) caps of 8/12/16/24 gave
+# 330/445/497/568 train windows/s and peak RSS 50.9/51.8/52.9/54.7 MB,
+# against 152 windows/s and 50.2 MB with one tape per window.
+TRAIN_GROUP_PEDESTRIANS = 12
 
 
 def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
-    """Scalar loss: -sum over steps, mean over pedestrians, of the log density.
+    """Loss per window: -sum over steps, mean over pedestrians, of the log density.
 
-    ``raw`` is the head output [T_pred, N, 5]; the correlation is clamped
-    to |rho| <= 1 - 1e-6 and sigma floored at 1e-8 to keep the density
+    ``raw`` is the head output [T_pred, N, 5] (a scalar loss) or a group's
+    [B, T_pred, N, 5] (losses [B]); the correlation is clamped to
+    |rho| <= 1 - 1e-6 and sigma floored at 1e-8 to keep the density
     nonsingular (gradients are exact away from the clamps).
     """
     gt = np.asarray(gt_displacements, dtype=np.float64)
-    n = raw.shape[1]
+    n = raw.shape[-2]
     log_floor = float(np.log(SIGMA_FLOOR))
     mu_x, mu_y = raw[..., 0], raw[..., 1]
     sigma_x = ad.exp(ad.clamp(raw[..., 2], lo=log_floor, hi=LOG_SIGMA_MAX))
@@ -60,7 +69,7 @@ def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
         - 0.5 * ad.log(one_minus_r2)
         - z / (2.0 * one_minus_r2)
     )
-    return -ad.tsum(log_pdf) / float(n)
+    return -ad.tsum(log_pdf, axis=(-2, -1)) / float(n)
 
 
 class Adam:
@@ -103,6 +112,33 @@ def scene_loss(scene, weights: dict, model_cfg: ModelConfig) -> Tensor:
     return nll_loss(raw, future_displacements(scene))
 
 
+def group_loss(scenes, weights: dict, model_cfg: ModelConfig) -> Tensor:
+    """Losses [B] of equal-N scenes from one forward pass; each equals its scene_loss bit for bit."""
+    raw, _, _ = forward(np.stack([s.displacements_obs for s in scenes]), weights, model_cfg)
+    return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
+
+
+def _backward_group(scenes, weights: dict, model_cfg: ModelConfig) -> np.ndarray:
+    """Accumulate the gradient of the summed group loss; returns the per-scene losses.
+
+    A NumericsError names the first scene of the group that fails on its own.
+    """
+    try:
+        losses = group_loss(scenes, weights, model_cfg)
+        ad.backward(ad.tsum(losses))
+    except NumericsError:
+        for scene in scenes:
+            try:
+                scene_loss(scene, weights, model_cfg)
+            except NumericsError as err:
+                raise NumericsError(
+                    f"scene {scene.scene_name}@frame{scene.start_frame} "
+                    f"(N={scene.n_pedestrians}): {err}"
+                ) from err
+        raise
+    return losses.data
+
+
 def train(
     train_scenes,
     model_cfg: ModelConfig,
@@ -129,20 +165,12 @@ def train(
         lr = train_cfg.lr_at(epoch)
         order = order_rng.permutation(len(train_scenes))
         for start in range(0, len(order), train_cfg.batch_size):  # the last window may be short
-            window_losses = []
-            for scene_idx in order[start : start + train_cfg.batch_size]:
-                scene = train_scenes[int(scene_idx)]
-                try:
-                    loss = scene_loss(scene, weights, model_cfg)
-                    ad.backward(loss)
-                except NumericsError as err:
-                    raise NumericsError(
-                        f"scene {scene.scene_name}@frame{scene.start_frame} "
-                        f"(N={scene.n_pedestrians}): {err}"
-                    ) from err
-                window_losses.append(loss.item())
-            optimizer.step(weights, lr, grad_scale=1.0 / len(window_losses))
-            rows.append((epoch, len(rows) + 1, float(np.mean(window_losses)), lr))
+            window = [train_scenes[int(i)] for i in order[start : start + train_cfg.batch_size]]
+            losses = np.empty(len(window))  # permutation order: the row mean ignores the grouping
+            for group in group_by_size([s.n_pedestrians for s in window], TRAIN_GROUP_PEDESTRIANS):
+                losses[group] = _backward_group([window[i] for i in group], weights, model_cfg)
+            optimizer.step(weights, lr, grad_scale=1.0 / len(window))
+            rows.append((epoch, len(rows) + 1, float(np.mean(losses)), lr))
             zero_grads(weights)
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, weights, model_cfg)

@@ -342,6 +342,21 @@ class TestPredictCommand:
         body = (out / "predictions.csv").read_text().splitlines()[1:]
         assert {line.split(",")[0] for line in body} == {"1"}
 
+    def test_pedestrian_gone_before_window_not_named(self, overfit_run, tmp_path, caplog):
+        # pedestrian 2 leaves at frame 40, long before the last 8 frames (120-190):
+        # nobody seen in the window is cut, so nothing is reported
+        lines = [f"{t * 10} 1 {0.3 * t!r} 0.0" for t in range(20)]
+        lines += [f"{t * 10} 2 5.0 {0.3 * t!r}" for t in range(5)]
+        scene_file = tmp_path / "gone.txt"
+        scene_file.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("WARNING", logger="sgcn.cli"):
+            code = run_cli([
+                "predict", "--checkpoint", overfit_run.checkpoint,
+                "--scene-file", scene_file, "--num-samples", "2", "--out", tmp_path / "o",
+            ])
+        assert code == 0
+        assert not any("incomplete observation" in rec.getMessage() for rec in caplog.records)
+
     def test_all_pedestrians_incomplete_errors(self, overfit_run, tmp_path, capsys):
         # every pedestrian misses at least one frame of the window
         lines = []

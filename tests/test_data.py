@@ -166,6 +166,14 @@ class TestWindowScenes:
         scenes = dd.window_scenes(make_table(rows), 8, 12)
         assert [s.start_frame for s in scenes] == [-5 * 10**18]
 
+    def test_frame_step_beyond_int64(self):
+        # two frames 1e19 apart: an int64 difference wraps negative
+        table = make_table([(-5 * 10**18, 1, 0.0, 0.0), (5 * 10**18, 1, 0.5, 0.0)])
+        assert dd.infer_frame_step(table) == 10**19
+        scene, dropped = dd.last_observation(table, 2, "test.txt")
+        assert scene.pedestrian_ids == (1,) and scene.start_frame == -5 * 10**18
+        assert dropped == []
+
     def test_ids_sorted_within_window(self):
         rows = walk_rows(9, 0, 20) + walk_rows(2, 0, 20, x0=4.0)
         scenes = dd.window_scenes(make_table(rows), 8, 12)
@@ -261,7 +269,8 @@ def test_last_observation_matches_brute_force(seed, n_peds):
         return
     scene, dropped = dd.last_observation(table, t_obs, "test.txt")
     assert scene.pedestrian_ids == want[0]
-    assert dropped == sorted(set(table.ped_ids.tolist()) - set(want[0]))
+    seen = {int(p) for f, p in zip(table.frames, table.ped_ids) if f >= last_start}
+    assert dropped == sorted(seen - set(want[0]))
     xy_at = {(int(f), int(p)): xy for f, p, xy in zip(table.frames, table.ped_ids, table.xy)}
     expected = [[xy_at[(last_start + 10 * t, p)] for p in want[0]] for t in range(t_obs)]
     assert np.array_equal(scene.positions_obs, np.array(expected))

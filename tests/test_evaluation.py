@@ -5,6 +5,7 @@ import pytest
 
 from sgcn import data as sgcn_data
 from sgcn import evaluation as ev
+from sgcn import model as mm
 from sgcn.config import ModelConfig
 from sgcn.errors import ConfigError
 from sgcn.model import init_weights, mu_trajectory, predict, sample_trajectory
@@ -146,6 +147,63 @@ class TestBestOfK:
         assert serial.ade == parallel.ade
         assert serial.fde == parallel.fde
         assert serial.per_scene == parallel.per_scene
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_grouped_report_matches_per_scene_loop(self, tmp_path, jobs):
+        # equal-N groups, one split by the budget and one window above it,
+        # against one single-window forward pass per scene, bytes included
+        sizes = [2, 3, 2, 2, 3] * 10 + [ev.INFER_GROUP_PEDESTRIANS + 1, 2, 3]
+        scenes = []
+        for i, n in enumerate(sizes):
+            pos = fixture_positions(np.full((n, 2), 0.3), np.arange(2.0 * n).reshape(n, 2), seed=i, steps=7)
+            scenes.append(sgcn_data.TrajectoryScene(tuple(range(n)), pos[:4], pos[4:], scene_name=f"S{i % 3}"))
+        groups = mm.group_by_size(sizes, ev.INFER_GROUP_PEDESTRIANS)
+        assert [50] in groups and max(len(g) for g in groups) == 24
+        weights = init_weights(SMALL_CFG, seed=4)
+        k, seed = 5, 8
+        children = np.random.SeedSequence(seed).spawn(len(scenes))
+        ades, fdes, per_scene = [], [], {}
+        for scene, child in zip(scenes, children):
+            params = predict(scene.displacements_obs, weights, SMALL_CFG)
+            samples = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(child), k)
+            dist = np.linalg.norm(samples - scene.positions_fut, axis=-1)
+            best = np.argmin(dist.mean(axis=-2), axis=0)
+            picked = np.arange(scene.n_pedestrians)
+            a, f = dist.mean(axis=-2)[best, picked], dist[:, -1][best, picked]
+            ades.append(a)
+            fdes.append(f)
+            entry = per_scene.setdefault(scene.scene_name, [0.0, 0.0, 0])
+            entry[0] += a.sum()
+            entry[1] += f.sum()
+            entry[2] += len(a)
+        want = ev.MetricsReport(
+            ade=float(np.concatenate(ades).mean()), fde=float(np.concatenate(fdes).mean()),
+            n_pedestrians=sum(sizes), n_scenes=len(scenes), k=k, seed=seed,
+            per_scene={name: (float(a / c), float(f / c), c) for name, (a, f, c) in per_scene.items()},
+        )
+        got = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=k, seed=seed, jobs=jobs)
+        assert (got.ade, got.fde, got.per_scene) == (want.ade, want.fde, want.per_scene)
+        ev.write_metrics_csv(want, tmp_path / "want.csv")
+        ev.write_metrics_csv(got, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_evaluation_records_no_tape(self, monkeypatch):
+        weights = init_weights(SMALL_CFG, seed=2)
+        outputs = []
+        forward = mm.forward
+
+        def spy(*args):
+            result = forward(*args)
+            outputs.append(result)
+            return result
+
+        monkeypatch.setattr(mm, "forward", spy)
+        ev.evaluate_best_of_k(weights, SMALL_CFG, random_scenes(), k=2, seed=0)
+        ev.mu_path_metrics(weights, SMALL_CFG, random_scenes())
+        assert outputs
+        for raw, spa, tmp in outputs:
+            assert not (raw.requires_grad or spa.normalized.requires_grad or tmp.normalized.requires_grad)
+        assert all(w.grad is None for w in weights.values())
 
     def test_seed_changes_draws(self):
         scenes = random_scenes()

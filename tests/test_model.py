@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgcn import autodiff as ad
@@ -128,6 +130,23 @@ class TestBranches:
         assert_allclose(out.data, np.swapaxes(a.data, 0, 1) + b.data, atol=1e-15)
         zero = Tensor(np.zeros((4, 3, 8)))
         assert_allclose(mm.fuse_branches(a, zero).data, np.swapaxes(a.data, 0, 1))
+
+
+@given(st.lists(st.integers(1, 9), max_size=40), st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_group_by_size_partitions_into_equal_size_groups(sizes, budget):
+    groups = mm.group_by_size(sizes, budget)
+    assert sorted(i for group in groups for i in group) == list(range(len(sizes)))
+    for group in groups:
+        assert len({sizes[i] for i in group}) == 1
+        assert len(group) == 1 or sum(sizes[i] for i in group) <= budget
+        assert group == sorted(group)
+    assert [group[0] for group in groups] == sorted(group[0] for group in groups)  # first-appearance order
+    assert mm.group_by_size(sizes, budget) == groups
+
+
+def test_group_by_size_fills_groups_in_order():
+    assert mm.group_by_size([2, 3, 2, 2, 50, 3, 2, 50], 4) == [[0, 2], [1], [3, 6], [4], [5], [7]]
 
 
 class TestTcnHead:

@@ -11,7 +11,7 @@ from sgcn import training as tr
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig, TrainConfig
 from sgcn.errors import ConfigError, NumericsError
-from sgcn.model import forward, init_weights, load_checkpoint
+from sgcn.model import forward, group_by_size, init_weights, load_checkpoint, zero_grads
 
 from conftest import FIXTURE_SCENES, fixture_positions
 
@@ -209,6 +209,19 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match="BADSCENE"):
             tr.train([bad], SMALL_CFG, TrainConfig(epochs=1, batch_size=1))
 
+    def test_numerics_error_in_group_names_failing_scene(self):
+        # three N=3 windows share one group; only the failing one is named
+        good = small_scenes()
+        bad = sgcn_data.TrajectoryScene(
+            pedestrian_ids=good[0].pedestrian_ids,
+            positions_obs=np.full_like(good[0].positions_obs, np.nan),
+            positions_fut=good[0].positions_fut,
+            scene_name="BADSCENE",
+        )
+        assert len(group_by_size([3, 3, 3], tr.TRAIN_GROUP_PEDESTRIANS)) == 1
+        with pytest.raises(NumericsError, match=r"^scene BADSCENE@frame0 \(N=3\)"):
+            tr.train(good + [bad], SMALL_CFG, TrainConfig(epochs=1, batch_size=8))
+
     def test_remainder_window_still_steps(self):
         # 2 scenes with batch_size 8: the undersized epoch-end window must
         # produce an optimizer step rather than dropping its gradients
@@ -268,3 +281,45 @@ def test_gate_cascade_parameters_never_learn():
     assert no_grad == {n for n in weights if n.startswith(("spa_conv", "tmp_conv"))}
     assert (len(no_grad), len(weights)) == (70, 106)
     assert sum(weights[n].data.size for n in no_grad) == 2870
+
+
+def mixed_scenes(sizes, seed):
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for i, n in enumerate(sizes):
+        pos = np.cumsum(rng.normal(scale=0.3, size=(20, n, 2)), axis=0)
+        scenes.append(sgcn_data.TrajectoryScene(tuple(range(n)), pos[:8], pos[8:], start_frame=i, scene_name="MIX"))
+    return scenes
+
+
+def test_group_losses_and_gradients_match_per_window():
+    # mixed N, a split N=2 run, and one window above the training budget
+    cfg = ModelConfig()
+    sizes = [2, 3, 2, 1, 2, tr.TRAIN_GROUP_PEDESTRIANS + 1, 3, 2, 2, 1, 2, 2, 2, 3]
+    scenes = mixed_scenes(sizes, seed=21)
+    groups = group_by_size(sizes, tr.TRAIN_GROUP_PEDESTRIANS)
+    assert [5] in groups and max(len(g) for g in groups) == 6
+    weights = init_weights(cfg, seed=5)
+
+    singles = []
+    for scene in scenes:
+        loss = tr.scene_loss(scene, weights, cfg)
+        ad.backward(loss)
+        singles.append(loss.item())
+    want = {name: w.grad for name, w in weights.items()}
+    zero_grads(weights)
+    for group in groups:
+        losses = tr.group_loss([scenes[i] for i in group], weights, cfg)
+        assert losses.shape == (len(group),)
+        assert losses.data.tolist() == [singles[i] for i in group]  # bit for bit
+        ad.backward(ad.tsum(losses))
+    for name, w in weights.items():
+        if want[name] is None:
+            assert w.grad is None, name
+            continue
+        assert np.abs(w.grad - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
+
+    # a training step's loss row averages the window losses in permutation order
+    order = np.random.default_rng(3).permutation(len(scenes))
+    _, rows = tr.train(scenes, cfg, TrainConfig(epochs=1, batch_size=len(scenes), seed=3), weights=weights)
+    assert rows[0][2] == float(np.mean([singles[i] for i in order]))
