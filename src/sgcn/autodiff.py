@@ -319,14 +319,38 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _vjp=vjp, _op="matmul")
 
 
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col: zero-padded x [B, C, H, W] -> [B, C*kh*kw, H*W], rows in (c, i, j) order."""
+    n_b, c, height, width = x.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((n_b, c, height + 2 * ph, width + 2 * pw))
+    padded[:, :, ph : ph + height, pw : pw + width] = x
+    sb, sc, sh, sw = padded.strides
+    taps = np.lib.stride_tricks.as_strided(
+        padded, (n_b, c, kh, kw, height, width), (sb, sc, sh, sw, sh, sw), writeable=False
+    )
+    return taps.reshape(n_b, c * kh * kw, height * width)
+
+
+def _correlate(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Zero-padded correlation of x [B, C_in, H, W] with [C_out, C_in, kh, kw] -> [B, C_out, H, W].
+
+    One im2col gemm per window, so a window's result does not depend on B.
+    """
+    n_b, _, height, width = x.shape
+    out = kernels.reshape(len(kernels), -1) @ _columns(x, *kernels.shape[2:])
+    return out.reshape(n_b, -1, height, width)
+
+
 def conv2d_zero_pad(x, kernels, bias) -> Tensor:
     """Zero-padded cross-correlation plus a per-output-channel bias.
 
-    ``x`` is [C_in, H, W] or [B, C_in, H, W]; ``kernels`` is
+    ``x`` is [..., C_in, H, W] (any leading axes); ``kernels`` is
     [C_out, C_in, kh, kw] with odd kh, kw so symmetric padding keeps H
     and W unchanged; ``bias`` is [C_out].  Covers 1x1 channel fusion, the
     (1xS)/(Sx1) asymmetric pairs, and the prediction head's temporal
-    convolutions.
+    convolutions.  The input gradient is the correlation of the output
+    gradient with the flipped, channel-swapped kernels.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     if kernels.ndim != 4:
@@ -334,45 +358,22 @@ def conv2d_zero_pad(x, kernels, bias) -> Tensor:
     c_out, c_in, kh, kw = kernels.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"kernel extents must be odd, got {kh}x{kw}")
-
-    batched = x.ndim == 4
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"conv input must be 3-d or 4-d, got {x.shape}")
-    xd = x.data if batched else x.data[None]
-    if xd.shape[1] != c_in:
-        raise ShapeError(f"conv input channels {xd.shape[1]} != kernel C_in {c_in}")
-    n_b, _, height, width = xd.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-    out = np.zeros((n_b, c_out, height, width))
-    for i in range(kh):
-        for j in range(kw):
-            out += np.einsum(
-                "oc,bchw->bohw", kernels.data[:, :, i, j], xp[:, :, i : i + height, j : j + width]
-            )
     if bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
+    if x.ndim < 3 or x.shape[-3] != c_in:
+        raise ShapeError(f"conv input must be [..., {c_in}, H, W] for kernel C_in {c_in}, got {x.shape}")
+    height, width = x.shape[-2:]
+    out = _correlate(x.data.reshape(-1, c_in, height, width), kernels.data)
     out += bias.data[:, None, None]
 
     def vjp(g):
-        if not batched:
-            g = g[None]
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(kernels.data)
-        for i in range(kh):
-            for j in range(kw):
-                window = xp[:, :, i : i + height, j : j + width]
-                gxp[:, :, i : i + height, j : j + width] += np.einsum(
-                    "oc,bohw->bchw", kernels.data[:, :, i, j], g
-                )
-                gk[:, :, i, j] = np.einsum("bohw,bchw->oc", g, window)
-        gx = gxp[:, :, ph : ph + height, pw : pw + width]
-        if not batched:
-            gx = gx[0]
-        return gx, gk, g.sum(axis=(0, 2, 3))
+        g = g.reshape(-1, c_out, height, width)
+        gx = _correlate(g, np.swapaxes(kernels.data[:, :, ::-1, ::-1], 0, 1))
+        cols = _columns(x.data.reshape(-1, c_in, height, width), kh, kw)
+        gk = np.tensordot(g.reshape(len(g), c_out, -1), cols, axes=([0, 2], [0, 2]))
+        return gx.reshape(x.shape), gk.reshape(kernels.shape), g.sum(axis=(0, 2, 3))
 
-    return Tensor(out if batched else out[0], _parents=(x, kernels, bias), _vjp=vjp, _op="conv2d")
+    return Tensor(out.reshape(x.shape[:-3] + out.shape[1:]), _parents=(x, kernels, bias), _vjp=vjp, _op="conv2d")
 
 
 def softmax_lastdim(x, mask: np.ndarray | None = None) -> Tensor:

@@ -56,8 +56,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "lr_decay_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < float("inf"):  # also False for nan
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
 

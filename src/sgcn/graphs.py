@@ -63,14 +63,16 @@ def embed_nodes(nodes, w, b, encoding: np.ndarray | None = None) -> Tensor:
     return out
 
 
-def attention_scores(embeddings: Tensor, w_q, b_q, w_k, b_k, mask: np.ndarray | None = None) -> Tensor:
+def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | None = None) -> Tensor:
     """Row-stochastic scaled dot-product scores over the second-to-last axis.
 
     Masked (False) positions get score exactly 0; rows renormalize over
     what remains.  Entry (i, j) is the influence of node i on node j.
+    Keys carry no bias: it would add q_i.b_k to all of row i, which the
+    row softmax cancels.
     """
     q = ad.matmul(embeddings, w_q) + b_q
-    k = ad.matmul(embeddings, w_k) + b_k
+    k = ad.matmul(embeddings, w_k)
     scale = float(np.sqrt(q.shape[-1]))
     logits = ad.matmul(q, ad.swap_last2(k)) / scale
     return ad.softmax_lastdim(logits, mask=mask)
@@ -181,9 +183,7 @@ def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
         raise ConfigError(f"window has {t_obs} observed steps, config expects {cfg.t_obs}")
 
     h0 = embed_nodes(x, weights["spa_embed_w"], weights["spa_embed_b"])
-    scores = attention_scores(
-        h0, weights["spa_query_w"], weights["spa_query_b"], weights["spa_key_w"], weights["spa_key_b"]
-    )
+    scores = attention_scores(h0, weights["spa_query_w"], weights["spa_query_b"], weights["spa_key_w"])
     fused = fuse_spatial_temporal(scores, weights["spa_fuse_k"], weights["spa_fuse_b"])
     features = asymmetric_conv_features(fused, _conv_stack(weights, "spa", cfg.conv_layers))
     mask = sparse_mask(features.data, cfg.xi)
@@ -209,14 +209,7 @@ def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
     encoding = position_encoding_table(t_obs, cfg.embed_dim)
     h0 = embed_nodes(x, weights["tmp_embed_w"], weights["tmp_embed_b"], encoding)
     causal = np.triu(np.ones((t_obs, t_obs), dtype=bool))
-    scores = attention_scores(
-        h0,
-        weights["tmp_query_w"],
-        weights["tmp_query_b"],
-        weights["tmp_key_w"],
-        weights["tmp_key_b"],
-        mask=causal,
-    )
+    scores = attention_scores(h0, weights["tmp_query_w"], weights["tmp_query_b"], weights["tmp_key_w"], mask=causal)
     stacked = ad.reshape(scores, (-1, 1, t_obs, t_obs))
     features = asymmetric_conv_features(stacked, _conv_stack(weights, "tmp", cfg.conv_layers))
     features = ad.reshape(features, (-1, t_obs, t_obs))

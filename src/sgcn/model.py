@@ -67,7 +67,7 @@ def _layout(cfg: ModelConfig) -> list:
     for prefix, channels in (("spa", t), ("tmp", 1)):
         linear(f"{prefix}_embed", 2, d)
         linear(f"{prefix}_query", d, d)
-        linear(f"{prefix}_key", d, d)
+        layout.append((f"{prefix}_key_w", (d, d), (d, d)))  # no key bias: the row softmax cancels it
         if prefix == "spa":
             conv(f"{prefix}_fuse", t, t, 1, 1)
         for layer in range(cfg.conv_layers):

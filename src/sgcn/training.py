@@ -34,11 +34,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # Adam moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Cap on the window-pedestrians (sum of N) of one training group.  A
-# training tape holds about 220 KB per window-pedestrian (tracemalloc,
-# default ModelConfig), so 12 caps a group's tape near 2.7 MB.  On the
-# bench's sparse-crowd workload (N ~ 2, 2-core VM) caps of 8/12/16/24 gave
-# 330/445/497/568 train windows/s and peak RSS 50.9/51.8/52.9/54.7 MB,
-# against 152 windows/s and 50.2 MB with one tape per window.
+# training tape holds about 188 KB per window-pedestrian (tracemalloc,
+# default ModelConfig, N = 6-12), so 12 caps a group's tape near 2.3 MB.
+# On the bench's sparse-crowd workload (N ~ 2, 2-core VM, per-tap convs
+# that kept 220 KB tapes) caps of 8/12/16/24 gave 330/445/497/568 train
+# windows/s and peak RSS 50.9/51.8/52.9/54.7 MB, against 152 windows/s
+# and 50.2 MB with one tape per window.
 TRAIN_GROUP_PEDESTRIANS = 12
 
 

@@ -112,10 +112,7 @@ def test_c3_structural_invariants_hundred_scenes():
         lower = np.tril(np.ones((8, 8), dtype=bool), k=-1)
         assert np.all(tmp.normalized.data[:, lower] == 0.0)
 
-        scores = gg.attention_scores(
-            h_spa, weights["spa_query_w"], weights["spa_query_b"],
-            weights["spa_key_w"], weights["spa_key_b"],
-        )
+        scores = gg.attention_scores(h_spa, weights["spa_query_w"], weights["spa_query_b"], weights["spa_key_w"])
         assert np.max(np.abs(scores.data.sum(axis=-1) - 1.0)) < 1e-9
 
         nonzero = []

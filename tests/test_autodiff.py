@@ -107,7 +107,32 @@ class TestConv2d:
         batched = ad.conv2d_zero_pad(ad.Tensor(x), k, b).data
         for i in range(3):
             single = ad.conv2d_zero_pad(ad.Tensor(x[i]), k, b).data
-            assert_allclose(batched[i], single, atol=1e-12)
+            assert np.array_equal(batched[i], single)
+
+    def test_leading_axes_equal_per_slice(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 2, 4, 5))
+        k = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = ad.Tensor(rng.normal(size=3))
+        out = ad.conv2d_zero_pad(ad.Tensor(x), k, b).data
+        assert out.shape == (2, 3, 3, 4, 5)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], ad.conv2d_zero_pad(ad.Tensor(x[i, j]), k, b).data)
+
+    @pytest.mark.parametrize("wrt", ["input", "kernel"])
+    def test_multichannel_3x3_gradients(self, wrt):
+        # a square kernel with C_in != C_out exercises the flip and the
+        # channel swap of the input gradient
+        rng = np.random.default_rng(6)
+        x = rand(rng, 2, 2, 4, 5)
+        k = rand(rng, 3, 2, 3, 3)
+        weights = rng.normal(size=(2, 3, 4, 5))
+        param = x if wrt == "input" else k
+        errors = ad.finite_diff_check_params(
+            lambda: ad.tsum(ad.conv2d_zero_pad(x, k, np.zeros(3)) * weights), {wrt: param}
+        )
+        assert errors[wrt] < 1e-4
 
 
 class TestSoftmax:

@@ -85,6 +85,13 @@ class TestTrainCommand:
         assert cfg == ModelConfig()
         assert set(weights) == set(init_weights(ModelConfig(), seed=0))
 
+    def test_nan_lr_exits_2(self, fixture_root, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run_cli(["train", "--data-root", fixture_root, "--holdout", "DUMMY", "--lr", "nan", "--out", out])
+        assert code == 2
+        assert "lr must be positive and finite" in capsys.readouterr().err
+        assert not (out / "checkpoint.ckpt").exists()
+
     def test_missing_data_root_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         code = run_cli(["train", "--data-root", missing, "--out", tmp_path / "o"])

@@ -79,8 +79,8 @@ class TestAttentionScores:
         rng = np.random.default_rng(1)
         e = Tensor(np.tile(rng.normal(size=(1, 16)), (5, 1)))
         wq, bq = self.linear(16, rng)
-        wk, bk = self.linear(16, rng)
-        out = gg.attention_scores(e, wq, bq, wk, bk)
+        wk, _ = self.linear(16, rng)
+        out = gg.attention_scores(e, wq, bq, wk)
         assert_allclose(out.data, 1.0 / 5.0)
 
     def test_hand_two_node_case(self):
@@ -89,7 +89,7 @@ class TestAttentionScores:
         wq = Tensor(np.array([[1.0, 0.0], [0.0, 0.0]]))
         wk = Tensor(np.eye(2))
         zero_b = Tensor(np.zeros(2))
-        out = gg.attention_scores(e, wq, zero_b, wk, zero_b).data
+        out = gg.attention_scores(e, wq, zero_b, wk).data
         assert_allclose(out[0], [0.6698, 0.3302], atol=5e-5)
         assert_allclose(out[1], [0.5, 0.5])
 
@@ -97,9 +97,9 @@ class TestAttentionScores:
         rng = np.random.default_rng(2)
         e = Tensor(rng.normal(size=(4, 3, 16)))
         wq, bq = self.linear(16, rng)
-        wk, bk = self.linear(16, rng)
+        wk, _ = self.linear(16, rng)
         causal = np.triu(np.ones((3, 3), dtype=bool))
-        out = gg.attention_scores(e, wq, bq, wk, bk, mask=causal).data
+        out = gg.attention_scores(e, wq, bq, wk, mask=causal).data
         lower = np.tril(np.ones((3, 3), dtype=bool), k=-1)
         assert np.all(out[:, lower] == 0.0)
         assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
@@ -110,8 +110,8 @@ class TestAttentionScores:
         rng = np.random.default_rng(seed)
         e = Tensor(rng.normal(size=(n, 8)))
         wq, bq = self.linear(8, rng)
-        wk, bk = self.linear(8, rng)
-        out = gg.attention_scores(e, wq, bq, wk, bk).data
+        wk, _ = self.linear(8, rng)
+        out = gg.attention_scores(e, wq, bq, wk).data
         assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
 
 

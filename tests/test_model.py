@@ -366,6 +366,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="out_proj_w"):
             mm.load_checkpoint(path)
 
+    def test_key_bias_checkpoint_names_file(self, tmp_path):
+        # checkpoints written before the key biases were deleted carry two more parameters
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=12)
+        for prefix in ("spa", "tmp"):
+            w[f"{prefix}_key_b"] = Tensor(np.zeros(cfg.embed_dim))
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, w, cfg)
+        with pytest.raises(CheckpointError, match=r"unexpected parameters \['spa_key_b', 'tmp_key_b'\]") as info:
+            mm.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_truncated_payload_rejected(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "m.ckpt"

@@ -146,6 +146,13 @@ class TestAdam:
         assert np.allclose(w1["x"].data, w2["x"].data, atol=1e-14)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr must be positive and finite"):
+            TrainConfig(lr=lr)
+
+
 class TestSchedule:
     def test_stepped_decay_values(self):
         cfg = TrainConfig(lr=1e-3, lr_decay_factor=0.1, lr_decay_interval=50)
@@ -279,7 +286,7 @@ def test_gate_cascade_parameters_never_learn():
     ad.backward(tr.scene_loss(scene, weights, cfg))
     no_grad = {n for n, w in weights.items() if w.grad is None}
     assert no_grad == {n for n in weights if n.startswith(("spa_conv", "tmp_conv"))}
-    assert (len(no_grad), len(weights)) == (70, 106)
+    assert (len(no_grad), len(weights)) == (70, 104)
     assert sum(weights[n].data.size for n in no_grad) == 2870
 
 
