@@ -7,9 +7,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-SCENE_NAMES = ("ETH", "HOTEL", "UNIV", "ZARA1", "ZARA2")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters.
@@ -110,6 +107,10 @@ class RunConfig:
     checkpoint: str = ""
     scene_file: str = ""
     scenes: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take only non-negative seeds
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -235,10 +235,12 @@ def load_dataset(data_root, field_order: str = "frame id x y") -> dict:
     root = Path(data_root)
     if not root.is_dir():
         raise DataError(f"data root {root} is not a directory")
-    tables = {}
+    tables, sources = {}, {}
     for path in sorted(root.glob("*.txt")):
         table = load_scene_file(path, field_order=field_order)
-        tables[table.name] = table
+        if table.name in tables:
+            raise DataError(f"{sources[table.name]} and {path} both name scene {table.name}")
+        tables[table.name], sources[table.name] = table, path
     if not tables:
         raise DataError(f"no *.txt scene files under {root}")
     return tables

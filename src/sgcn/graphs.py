@@ -3,11 +3,12 @@
 Two branches score pairwise influence with single-layer self-attention:
 the spatial branch relates pedestrians within each observed time step,
 the temporal branch relates time steps within each pedestrian (causally
-masked so no past step attends to the future).  Scores pass through a
-1x1 channel-fusion conv (spatial branch only), a cascade of asymmetric
-row/column convolutions, a hard sparsity threshold on the sigmoid of the
-resulting features, and a zero-preserving renormalization, yielding
-asymmetric, row-normalized, genuinely sparse adjacency tensors.
+masked so no past step attends to the future).  The spatial branch first
+mixes its per-step scores with a 1x1 conv over time channels.  Both then
+gate by one rule, ``sparsify``: entries whose asymmetric row/column conv
+features have sigmoid below the threshold xi are pruned (self-loops
+stay), and a zero-preserving renormalization yields asymmetric,
+row-normalized, genuinely sparse adjacency tensors.
 
 Windows with the same pedestrian count N stack along a leading batch
 axis: displacements [B, T_obs, N, 2] give spatial slices [B, T_obs, N, N]
@@ -31,16 +32,14 @@ ZERO_SOFTMAX_EPS = 1e-12
 
 @dataclass
 class SparseAdjacency:
-    """Learned adjacency: ``normalized`` drives the GCN, ``mask``/``raw`` aid inspection.
+    """Learned adjacency: ``normalized`` drives the GCN, ``mask`` aids inspection.
 
-    ``mask`` is the thresholded keep-pattern with the forced diagonal;
-    ``raw`` holds pre-normalization products.  Entries read as (i, j) =
-    influence of node i on node j, so rows index influencers.
+    ``mask`` is the kept pattern, forced diagonal included.  Entries read
+    as (i, j) = influence of node i on node j, so rows index influencers.
     """
 
     normalized: Tensor
     mask: np.ndarray
-    raw: Tensor
 
 
 def position_encoding_table(length: int, dim: int) -> np.ndarray:
@@ -78,17 +77,6 @@ def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | None 
     return ad.softmax_lastdim(logits, mask=mask)
 
 
-def fuse_spatial_temporal(stacked: Tensor, kernels, bias) -> Tensor:
-    """Mix the per-time-step score stack with a 1x1 conv over time channels."""
-    kernels = ad.as_tensor(kernels)
-    t_obs = stacked.shape[-3]
-    if kernels.shape != (t_obs, t_obs, 1, 1):
-        raise ConfigError(
-            f"fusion kernels must be [{t_obs},{t_obs},1,1] for a {t_obs}-step stack, got {kernels.shape}"
-        )
-    return ad.conv2d_zero_pad(stacked, kernels, bias)
-
-
 def asymmetric_conv_features(x: Tensor, layers) -> Tensor:
     """Cascade of paired (1xS) row and (Sx1) column convs, summed then PReLU'd.
 
@@ -110,19 +98,6 @@ def sparse_mask(features: np.ndarray, xi: float) -> np.ndarray:
     return ad._sigmoid(np.asarray(features, dtype=np.float64)) >= xi
 
 
-def _with_identity(mask: np.ndarray) -> np.ndarray:
-    """min(M + I, 1): force self-connections without double-weighting them."""
-    n = mask.shape[-1]
-    if mask.shape[-2] != n:
-        raise ConfigError(f"adjacency slices must be square, got {mask.shape}")
-    return mask | np.eye(n, dtype=bool)
-
-
-def sparse_adjacency(mask: np.ndarray, scores: Tensor) -> Tensor:
-    """Gate dense scores with the mask (plus forced diagonal), elementwise."""
-    return scores * _with_identity(mask).astype(np.float64)
-
-
 def zero_softmax(x: Tensor) -> Tensor:
     """Row renormalization mapping exact zeros to exact zeros.
 
@@ -138,6 +113,18 @@ def zero_softmax(x: Tensor) -> Tensor:
     squashed = ad.exp(x) - 1.0
     squared = squashed * squashed
     return squared / (ad.tsum(squared, axis=-1, keepdims=True) + ZERO_SOFTMAX_EPS)
+
+
+def sparsify(scores: Tensor, features: np.ndarray, xi: float, allowed=True) -> SparseAdjacency:
+    """Gate dense [..., n, n] scores into a sparse, row-normalized adjacency.
+
+    An entry is kept where sigmoid(features) >= xi or it lies on the
+    diagonal, and only where ``allowed`` (a bool pattern broadcast
+    against the scores) permits; pruned entries are exactly 0 after
+    zero_softmax.  ``allowed`` must include the diagonal.
+    """
+    keep = (sparse_mask(features, xi) | np.eye(scores.shape[-1], dtype=bool)) & allowed
+    return SparseAdjacency(normalized=zero_softmax(scores * keep), mask=keep)
 
 
 def _conv_stack(weights: dict, prefix: str, n_layers: int):
@@ -184,11 +171,9 @@ def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
 
     h0 = embed_nodes(x, weights["spa_embed_w"], weights["spa_embed_b"])
     scores = attention_scores(h0, weights["spa_query_w"], weights["spa_query_b"], weights["spa_key_w"])
-    fused = fuse_spatial_temporal(scores, weights["spa_fuse_k"], weights["spa_fuse_b"])
+    fused = ad.conv2d_zero_pad(scores, weights["spa_fuse_k"], weights["spa_fuse_b"])
     features = asymmetric_conv_features(fused, _conv_stack(weights, "spa", cfg.conv_layers))
-    mask = sparse_mask(features.data, cfg.xi)
-    raw = sparse_adjacency(mask, fused)
-    return SparseAdjacency(normalized=zero_softmax(raw), mask=_with_identity(mask), raw=raw), h0
+    return sparsify(fused, features.data, cfg.xi), h0
 
 
 def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
@@ -212,7 +197,4 @@ def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
     scores = attention_scores(h0, weights["tmp_query_w"], weights["tmp_query_b"], weights["tmp_key_w"], mask=causal)
     stacked = ad.reshape(scores, (-1, 1, t_obs, t_obs))
     features = asymmetric_conv_features(stacked, _conv_stack(weights, "tmp", cfg.conv_layers))
-    features = ad.reshape(features, (-1, t_obs, t_obs))
-    mask = sparse_mask(features.data, cfg.xi) & causal
-    raw = sparse_adjacency(mask, scores)
-    return SparseAdjacency(normalized=zero_softmax(raw), mask=_with_identity(mask) & causal, raw=raw), h0
+    return sparsify(scores, features.data.reshape(scores.shape), cfg.xi, causal), h0

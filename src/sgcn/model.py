@@ -264,14 +264,17 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointError(f"{path}: unsupported version {magic[1]!r} (supported: {CHECKPOINT_VERSION})")
 
     fields: dict = {}
-    shapes: list = []
+    shapes: dict = {}
     for line in header_lines[1:]:
         if line.startswith("param "):
             try:
                 _, name, *dims = line.split()
-                shapes.append((name, tuple(int(d) for d in dims)))
+                shape = tuple(int(d) for d in dims)
             except ValueError:
                 raise CheckpointError(f"{path}: malformed shape line {line!r}") from None
+            if name in shapes:
+                raise CheckpointError(f"{path}: parameter {name} listed twice in shape table")
+            shapes[name] = shape
         elif "=" in line:
             key, _, value = line.partition("=")
             fields[key] = value
@@ -283,26 +286,25 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointError(f"{path}: bad config header: {err}") from None
 
     expected_shapes = sorted((name, shape) for name, shape, _ in _layout(cfg))
-    if sorted(shapes) != expected_shapes:
-        got = dict(shapes)
+    if sorted(shapes.items()) != expected_shapes:
         for name, shape in expected_shapes:
-            if name not in got:
+            if name not in shapes:
                 raise CheckpointError(f"{path}: parameter {name} missing from shape table")
-            if got[name] != shape:
+            if shapes[name] != shape:
                 raise CheckpointError(
-                    f"{path}: parameter {name} has shape {got[name]}, config implies {shape}"
+                    f"{path}: parameter {name} has shape {shapes[name]}, config implies {shape}"
                 )
-        extra = set(got) - {n for n, _ in expected_shapes}
+        extra = set(shapes) - {n for n, _ in expected_shapes}
         raise CheckpointError(f"{path}: unexpected parameters {sorted(extra)}")
 
     payload = blob[len(head) + len(b"\nEND\n"):]
-    total = sum(math.prod(shape) for _, shape in shapes)
+    total = sum(math.prod(shape) for shape in shapes.values())
     if len(payload) != total * 8:
         raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {total * 8}")
 
     weights = {}
     offset = 0
-    for name, shape in shapes:
+    for name, shape in shapes.items():
         count = math.prod(shape)
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         try:

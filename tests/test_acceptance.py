@@ -23,7 +23,7 @@ from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig, TrainConfig
 
 from conftest import fixture_positions
-from test_autodiff import PRIMITIVE_CASES
+from test_autodiff import PRIMITIVE_CASES, check_primitive_gradient
 from test_model import branch_fixture, naive_branches, prelu_np
 
 # Full-model gradient check point, frozen after a margin scan.  Biases
@@ -50,15 +50,8 @@ def gradcheck_scene(seed):
 
 def test_c1_gradient_correctness_primitives_and_full_model():
     start = time.monotonic()
-    for name, f in sorted(PRIMITIVE_CASES.items()):
-        rng = np.random.default_rng(hash(name) % 2**32)
-        for _ in range(10):
-            x = Tensor(rng.uniform(-1.0, 1.0, size=6))
-            if name == "clamp":
-                x = Tensor(np.where(np.abs(x.data) > 0.85, 0.0, x.data))
-            if name == "prelu":
-                x = Tensor(np.where(np.abs(x.data) < 0.05, 0.5, x.data))
-            assert ad.finite_diff_check(f, x, h=1e-4) < 1e-4, name
+    for name in sorted(PRIMITIVE_CASES):
+        check_primitive_gradient(name)
 
     scene = gradcheck_scene(GRAD_SCENE_SEED)
     weights = mm.init_weights(GRAD_CFG, seed=GRAD_WEIGHT_SEED)
@@ -88,11 +81,11 @@ def test_c2_zero_softmax_suite():
     # after normalization
     scores = Tensor(rng.uniform(0.5, 2.0, size=(4, 5, 5)))
     mask = rng.uniform(size=(4, 5, 5)) < 0.4
-    raw = gg.sparse_adjacency(mask, scores)
-    normalized = gg.zero_softmax(raw)
+    adj = gg.sparsify(scores, np.where(mask, 1.0, -1.0), 0.5)
     keep = mask | np.eye(5, dtype=bool)
-    assert np.all(normalized.data[~keep] == 0.0)
-    assert np.all(normalized.data[keep] > 0.0)
+    assert np.array_equal(adj.mask, keep)
+    assert np.all(adj.normalized.data[~keep] == 0.0)
+    assert np.all(adj.normalized.data[keep] > 0.0)
 
 
 def test_c3_structural_invariants_hundred_scenes():

@@ -1,5 +1,7 @@
 """Oracle and property tests for the reverse-mode engine."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,17 +313,22 @@ PRIMITIVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
-def test_primitive_gradients_match_central_differences(name):
+def check_primitive_gradient(name):
+    """Central-difference check of one PRIMITIVE_CASES entry at 10 points seeded by its name."""
     f = PRIMITIVE_CASES[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # str hash() changes per process
     for _ in range(10):
         x = ad.Tensor(rng.uniform(-1.0, 1.0, size=6))
         if name == "clamp":  # keep away from the clip kinks
             x = ad.Tensor(np.where(np.abs(x.data) > 0.85, 0.0, x.data))
         if name == "prelu":  # keep away from the kink at 0
             x = ad.Tensor(np.where(np.abs(x.data) < 0.05, 0.5, x.data))
-        assert ad.finite_diff_check(f, x) < 1e-4, name
+        assert ad.finite_diff_check(f, x, h=1e-4) < 1e-4, name
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+def test_primitive_gradients_match_central_differences(name):
+    check_primitive_gradient(name)
 
 
 @given(st.integers(0, 2**32 - 1))

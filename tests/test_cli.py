@@ -69,6 +69,13 @@ class TestConfigResolution:
         assert run_cli(["train", "--config", cfg]) == 2
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli([command, "--seed", "-1", "--out", out]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_smoke_writes_artifacts(self, fixture_root, tmp_path):

@@ -332,6 +332,15 @@ class TestSplit:
         with pytest.raises(ConfigError, match="FOO"):
             dd.leave_one_out_split(self.tables(tmp_path), "FOO", 8, 12)
 
+    def test_stems_equal_up_to_case_rejected(self, tmp_path):
+        rows = synthetic.generate_scene_rows(1, n_steps=25)
+        for stem in ("eth", "ETH"):
+            synthetic.write_scene_file(tmp_path / f"{stem}.txt", rows)
+        with pytest.raises(DataError, match="both name scene ETH") as info:
+            dd.load_dataset(tmp_path)
+        assert str(tmp_path / "eth.txt") in str(info.value)
+        assert str(tmp_path / "ETH.txt") in str(info.value)
+
     def test_single_scene_degenerate_split_warns(self, tmp_path, caplog):
         synthetic.write_dataset(tmp_path, n_steps=40, seeds={"ETH": 1})
         tables = dd.load_dataset(tmp_path)

@@ -120,14 +120,14 @@ class TestFuseSpatialTemporal:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 3, 3)))
         k = Tensor(np.eye(4).reshape(4, 4, 1, 1))
-        out = gg.fuse_spatial_temporal(x, k, Tensor(np.zeros(4)))
+        out = ad.conv2d_zero_pad(x, k, Tensor(np.zeros(4)))
         assert_allclose(out.data, x.data, atol=1e-15)
 
     def test_averaging_kernels(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(4, 2, 2)))
         k = Tensor(np.full((4, 4, 1, 1), 0.25))
-        out = gg.fuse_spatial_temporal(x, k, Tensor(np.zeros(4)))
+        out = ad.conv2d_zero_pad(x, k, Tensor(np.zeros(4)))
         mean_slice = x.data.mean(axis=0)
         for t in range(4):
             assert_allclose(out.data[t], mean_slice, atol=1e-12)
@@ -135,13 +135,7 @@ class TestFuseSpatialTemporal:
     def test_shape_preserved(self):
         x = Tensor(np.zeros((8, 5, 5)))
         k = Tensor(np.zeros((8, 8, 1, 1)))
-        assert gg.fuse_spatial_temporal(x, k, Tensor(np.zeros(8))).shape == (8, 5, 5)
-
-    def test_wrong_channel_count_rejected(self):
-        x = Tensor(np.zeros((8, 5, 5)))
-        k = Tensor(np.zeros((6, 6, 1, 1)))
-        with pytest.raises(ConfigError):
-            gg.fuse_spatial_temporal(x, k, Tensor(np.zeros(6)))
+        assert ad.conv2d_zero_pad(x, k, Tensor(np.zeros(8))).shape == (8, 5, 5)
 
 
 def conv_layer(c, s, row=None, col=None, slope=0.25):
@@ -228,20 +222,21 @@ class TestSparseAdjacency:
     def test_all_ones_mask_passes_scores(self):
         rng = np.random.default_rng(10)
         scores = Tensor(rng.normal(size=(3, 3)))
-        out = gg.sparse_adjacency(np.ones((3, 3), dtype=bool), scores)
-        assert_allclose(out.data, scores.data)
+        adj = gg.sparsify(scores, np.ones((3, 3)), 0.5)
+        assert adj.mask.all()
+        assert np.array_equal(adj.normalized.data, gg.zero_softmax(scores).data)
 
     def test_all_zero_mask_keeps_diagonal_only(self):
         rng = np.random.default_rng(11)
         scores = Tensor(rng.normal(size=(4, 4)))
-        out = gg.sparse_adjacency(np.zeros((4, 4), dtype=bool), scores)
-        assert_allclose(np.diag(out.data), np.diag(scores.data))
-        assert_allclose(out.data - np.diag(np.diag(out.data)), 0.0)
+        adj = gg.sparsify(scores, np.full((4, 4), -1.0), 0.5)
+        assert np.array_equal(adj.mask, np.eye(4, dtype=bool))
+        assert np.array_equal(adj.normalized.data, gg.zero_softmax(Tensor(np.diag(np.diag(scores.data)))).data)
 
     def test_diagonal_multiplier_clamped_to_one(self):
         scores = Tensor(np.full((2, 2), 3.0))
-        out = gg.sparse_adjacency(np.ones((2, 2), dtype=bool), scores)
-        assert_allclose(np.diag(out.data), [3.0, 3.0])  # not 6.0
+        adj = gg.sparsify(scores, np.ones((2, 2)), 0.5)
+        assert_allclose(adj.normalized.data, 0.5, atol=1e-12)  # a doubled diagonal would outweigh the rest
 
 
 class TestZeroSoftmax:
@@ -293,7 +288,6 @@ class TestBuildSpatialGraph:
         w = mm.init_weights(cfg, seed=0)
         adj, h0 = gg.build_spatial_graph(scene(np.random.default_rng(13), 4, 5), w, cfg)
         assert adj.normalized.shape == (4, 5, 5)
-        assert adj.raw.shape == (4, 5, 5)
         assert adj.mask.shape == (4, 5, 5)
         assert h0.shape == (4, 5, 16)
 
@@ -356,7 +350,7 @@ class TestBuildTemporalGraph:
         adj, _ = gg.build_temporal_graph(scene(np.random.default_rng(19), 4, 5), w, cfg)
         lower = np.tril(np.ones((4, 4), dtype=bool), k=-1)
         assert np.all(adj.normalized.data[:, lower] == 0.0)
-        assert np.all(adj.raw.data[:, lower] == 0.0)
+        assert not adj.mask[:, lower].any()
 
     def test_single_step_window(self):
         cfg = small_cfg(t_obs=1, conv_layers=1)

@@ -366,6 +366,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="out_proj_w"):
             mm.load_checkpoint(path)
 
+    def test_duplicated_param_line_named(self, tmp_path):
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=12), cfg)
+        line = b"param out_proj_w 16 5\n"
+        path.write_bytes(path.read_bytes().replace(line, line + line, 1))
+        with pytest.raises(CheckpointError, match="parameter out_proj_w listed twice") as info:
+            mm.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_key_bias_checkpoint_names_file(self, tmp_path):
         # checkpoints written before the key biases were deleted carry two more parameters
         cfg = small_cfg()
