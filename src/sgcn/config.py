@@ -111,6 +111,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take only non-negative seeds
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

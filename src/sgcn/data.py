@@ -10,6 +10,7 @@ absolute positions are recovered by cumulative summation.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,22 +82,40 @@ def _parse_int_field(token: str, what: str, where: str) -> int:
     return value
 
 
-def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTable:
-    """Parse one scene file into a table named by its upper-cased stem; errors carry line numbers."""
-    order = tuple(field_order.split())
-    if sorted(order) != sorted(FIELD_NAMES):
-        raise ConfigError(f"field_order must permute {' '.join(FIELD_NAMES)!r}, got {field_order!r}")
-    col = {f: order.index(f) for f in FIELD_NAMES}
+def _read_records(path: Path, order: tuple) -> tuple | None:
+    """(frames, ids, xy) from one ``np.loadtxt`` pass, or None where only :func:`_read_lines` can decide.
 
-    path = Path(path)
+    loadtxt refuses or warns on every row the per-line rules refuse, and on some they
+    accept (ids spelled "10.0"); it accepts an id of -2**63, which they refuse.
+    """
+    dtype = [(f, np.int64 if f in ("frame", "id") else np.float64) for f in order]
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumPy < 2 only warns when it truncates "10.5" into an int
+            records = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    frames, ped_ids = records["frame"], records["id"]
+    if not len(records) or min(frames.min(), ped_ids.min()) == np.iinfo(np.int64).min:
+        return None
+    return frames, ped_ids, np.column_stack([records["x"], records["y"]])
+
+
+def _read_lines(path: Path, order: tuple) -> tuple:
+    """(frames, ids, xy) line by line; the only reader that names the line of a fault."""
+    col = {f: order.index(f) for f in FIELD_NAMES}
     frames, ped_ids, xs, ys = [], [], [], []
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:  # an undecodable byte reads as one lone surrogate
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
                 continue
-            tokens = stripped.split()
             where = f"{path}:{lineno}"
+            if not stripped.isascii():
+                bad = [ord(c) - 0xDC00 for c in stripped if "\udc80" <= c <= "\udcff"]
+                if bad:
+                    raise DataError(f"{where}: byte {bad[0]:#04x} is not {fh.encoding} text")
+            tokens = stripped.split()
             if len(tokens) != 4:
                 raise DataError(f"{where}: expected 4 fields, got {len(tokens)}")
             frames.append(_parse_int_field(tokens[col["frame"]], "frame_id", where))
@@ -109,10 +128,22 @@ def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTab
 
     if not frames:
         raise DataError(f"{path}: no trajectory rows")
-
-    frames = np.asarray(frames, dtype=np.int64)
-    ped_ids = np.asarray(ped_ids, dtype=np.int64)
     xy = np.column_stack([xs, ys]).astype(np.float64)
+    return np.asarray(frames, dtype=np.int64), np.asarray(ped_ids, dtype=np.int64), xy
+
+
+def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTable:
+    """Parse one scene file into a table named by its upper-cased stem; errors carry line numbers.
+
+    One ``np.loadtxt`` pass reads the file; a file it cannot vouch for is read
+    again by the per-line rules, which name the file and line of a fault.
+    """
+    order = tuple(field_order.split())
+    if sorted(order) != sorted(FIELD_NAMES):
+        raise ConfigError(f"field_order must permute {' '.join(FIELD_NAMES)!r}, got {field_order!r}")
+    path = Path(path)
+    frames, ped_ids, xy = _read_records(path, order) or _read_lines(path, order)
+
     finite = np.isfinite(xy).all(axis=1)
     if not finite.all():
         with open(path) as fh:  # one row per non-blank line

@@ -76,6 +76,14 @@ class TestConfigResolution:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "dump-graphs"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, command, jobs, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli([command, "--jobs", jobs, "--out", out]) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_smoke_writes_artifacts(self, fixture_root, tmp_path):
@@ -324,6 +332,16 @@ class TestPredictCommand:
         ])
         assert code == 2
         assert "huge.txt:1: pedestrian_id" in capsys.readouterr().err
+
+    def test_undecodable_byte_exits_2(self, overfit_run, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1 1.0 1.0\n0 2 1.0 \xff\n")
+        code = run_cli([
+            "predict", "--checkpoint", overfit_run.checkpoint,
+            "--scene-file", bad, "--out", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "bad.txt:2: byte 0xff is not" in capsys.readouterr().err
 
     def test_short_file_errors_with_path(self, overfit_run, tmp_path, capsys):
         short = tmp_path / "short.txt"

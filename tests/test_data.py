@@ -1,5 +1,9 @@
 """Parsing, windowing, and displacement round-trip tests."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from sgcn import data as dd
 from sgcn import synthetic
-from sgcn.errors import ConfigError, DataError
+from sgcn.errors import ConfigError, DataError, SgcnError
 
 
 def write_lines(path, lines):
@@ -59,6 +63,12 @@ class TestLoadSceneFile:
     def test_id_beyond_int64_rejected_with_line_number(self, tmp_path, line, what):
         p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", line])
         with pytest.raises(DataError, match=f"bad.txt:2: {what} .* is outside the int64 range"):
+            dd.load_scene_file(p)
+
+    def test_undecodable_byte_named_with_line_number(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"10 1 2.5 3.5\n\n20 1 2.5\xff 3.5\n30 1 x 3.5\n")
+        with pytest.raises(DataError, match="bad.txt:3: byte 0xff is not"):
             dd.load_scene_file(p)
 
     def test_duplicate_pair_rejected(self, tmp_path):
@@ -114,6 +124,93 @@ class TestLoadSceneFile:
         p = write_lines(tmp_path / "o.txt", ["1 2 3 4"])
         with pytest.raises(ConfigError):
             dd.load_scene_file(p, field_order="frame id x")
+
+
+class TestReaderSelection:
+    """A file loadtxt reads whole skips the per-line rules; anything else gets them."""
+
+    def test_plain_file_read_in_one_pass(self, tmp_path):
+        p = write_lines(tmp_path / "a.txt", ["20 2 0.25 1", "", "10 1 2.5 -3.5"])
+        with mock.patch.object(dd, "_read_lines", side_effect=AssertionError("per-line rules ran")):
+            table = dd.load_scene_file(p)
+        assert table.frames.tolist() == [10, 20] and table.xy.tolist() == [[2.5, -3.5], [0.25, 1.0]]
+
+    @pytest.mark.parametrize("lines", [
+        ["10.0 1 0.5 0.5"],
+        ["10.5 1 0.5 0.5"],
+        ["10 -9223372036854775808 0.5 0.5"],
+        ["-9223372036854775808 1 0.5 0.5"],
+        ["10 1 0.5"],
+        ["", " "],
+    ], ids=["decimal_id", "fractional_frame", "id_at_int64_min", "frame_at_int64_min", "three_fields", "blank"])
+    def test_per_line_rules_take_over(self, tmp_path, lines):
+        p = write_lines(tmp_path / "a.txt", lines)
+        assert dd._read_records(p, tuple(dd.FIELD_NAMES)) is None
+
+
+# Spellings on which a one-pass reader and the per-line rules could disagree.
+ODD_TOKENS = (
+    "+5", "-0", "007", "10.0", "1.0", "10.5", "1e3", "1_0", "\u0663", "nan", "-inf", "1e400", "1e-400",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808", "0x10", ".5", "3.", "#", "1\x00",
+)
+SEPARATORS = (" ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u3000", "\x85", "\x1c")
+ENDINGS = ("\n", "\r\n", "\r")
+BLANK_LINES = ("", " ", "\t", "\xa0")
+
+
+@st.composite
+def scene_files(draw):
+    """(field order, file bytes): clean rows in fuzzed layout, or rows with odd tokens, field counts and bytes."""
+    order = draw(st.permutations(dd.FIELD_NAMES))
+    odd = draw(st.booleans())
+    text = ""
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            text += draw(st.sampled_from(BLANK_LINES)) + draw(st.sampled_from(ENDINGS))
+            continue
+        value = {
+            "frame": str(draw(st.integers(0, 4))),
+            "id": str(draw(st.integers(-2, 2))),
+            "x": repr(draw(st.floats(-1e3, 1e3))),
+            "y": repr(draw(st.floats(-1e3, 1e3))),
+        }
+        tokens = [value[f] for f in order]
+        if odd:
+            tokens = [draw(st.sampled_from(ODD_TOKENS)) if draw(st.integers(0, 3)) == 0 else t for t in tokens]
+            tokens = tokens[: draw(st.sampled_from((3, 4, 4, 4)))] + ["1"] * draw(st.sampled_from((0, 0, 0, 1)))
+        line = draw(st.sampled_from(("", " ", "\t"))) + "".join(t + draw(st.sampled_from(SEPARATORS)) for t in tokens)
+        text += line.rstrip(" ") + draw(st.sampled_from(ENDINGS))
+    raw = text.encode()
+    if odd and draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return " ".join(order), raw
+
+
+def load_outcome(path, field_order):
+    """A table as its name and raw arrays, or the SgcnError it raised as type and message."""
+    try:
+        table = dd.load_scene_file(path, field_order)
+    except SgcnError as err:
+        return repr(err)
+    return [table.name] + [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in (table.frames, table.ped_ids, table.xy)]
+
+
+@given(scene_files())
+@example(("frame id x y", b"0 -9223372036854775808 1.0 1.0\n"))  # loadtxt holds int64 min
+@example(("id x y frame", b"1.0 0.5 0.5 10\r\n\n2 0.5 0.5 10.0\r\n"))  # decimal-spelled ids
+@settings(max_examples=300, deadline=None)
+def test_one_pass_read_matches_per_line_rules(scene_file):
+    field_order, raw = scene_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_bytes(raw)
+        got = load_outcome(path, field_order)
+        with mock.patch.object(dd, "_read_records", return_value=None):
+            want = load_outcome(path, field_order)
+    assert got == want
+    if isinstance(got, str):
+        assert got.startswith("DataError(")
 
 
 def walk_rows(pid, start_frame, n, step=10, x0=0.0):
