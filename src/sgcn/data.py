@@ -85,20 +85,22 @@ def _parse_int_field(token: str, what: str, where: str) -> int:
 def _read_records(path: Path, order: tuple) -> tuple | None:
     """(frames, ids, xy) from one ``np.loadtxt`` pass, or None where only :func:`_read_lines` can decide.
 
-    loadtxt refuses or warns on every row the per-line rules refuse, and on some they
-    accept (ids spelled "10.0"); it accepts an id of -2**63, which they refuse.
+    Every field is read as float64, so ids spelled "10" and "10.0" both pass; the file is
+    refused unless each frame and id is integral and below 2**53 in magnitude, where
+    float64 holds it exactly.  loadtxt refuses every other row the per-line rules refuse.
     """
-    dtype = [(f, np.int64 if f in ("frame", "id") else np.float64) for f in order]
     try:
         with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")  # NumPy < 2 only warns when it truncates "10.5" into an int
-            records = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
+            warnings.simplefilter("error")  # loadtxt warns on a file with no rows
+            table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
-    frames, ped_ids = records["frame"], records["id"]
-    if not len(records) or min(frames.min(), ped_ids.min()) == np.iinfo(np.int64).min:
+    if table.shape[1] != len(FIELD_NAMES):
         return None
-    return frames, ped_ids, np.column_stack([records["x"], records["y"]])
+    ids = table[:, [order.index("frame"), order.index("id")]]
+    if not ((np.abs(ids) < 2**53) & (ids == np.floor(ids))).all():  # also refuses nan and inf
+        return None
+    return ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64), table[:, [order.index("x"), order.index("y")]]
 
 
 def _read_lines(path: Path, order: tuple) -> tuple:
