@@ -23,7 +23,7 @@ from sgcn.data import leave_one_out_split, load_dataset
 from sgcn.model import init_weights, save_checkpoint
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--data-root", default="", help="trajectory files; generated if omitted")
     parser.add_argument("--holdout", default="ZARA2", help="scene held out for evaluation")
@@ -36,7 +36,7 @@ def main() -> int:
     parser.add_argument("--test-windows", type=int, default=200,
                         help="holdout windows evaluated (capped at available)")
     parser.add_argument("--out", default="", help="write checkpoint/metrics here if set")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     started = time.monotonic()
     with tempfile.TemporaryDirectory() as scratch:

@@ -16,14 +16,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sgcn.synthetic import SCENE_SEEDS, write_dataset
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="data", help="output directory (default: ./data)")
     parser.add_argument(
         "--steps", type=int, default=2000,
         help="recorded steps per scene; 2000 gives roughly benchmark-sized scenes",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     paths = write_dataset(args.out, n_steps=args.steps)
     for name in sorted(SCENE_SEEDS):

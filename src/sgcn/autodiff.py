@@ -456,23 +456,15 @@ def backward(loss: Tensor) -> None:
 # finite-difference self-check
 
 
-def finite_diff_check(f, x: Tensor, h: float = 1e-4) -> float:
-    """Compare analytic gradients of scalar-valued ``f`` against central differences.
-
-    Returns max over elements of |analytic - central| / (|central| + 1e-8).
-    ``x.data`` is perturbed in place and restored.
-    """
-    x.requires_grad = True
-    return finite_diff_check_params(lambda: f(x), {"x": x}, h)["x"]
-
-
 def finite_diff_check_params(loss_fn, params, h: float = 1e-4) -> dict:
-    """Run a central-difference check of ``loss_fn()`` against each parameter.
+    """Compare analytic gradients of scalar ``loss_fn()`` against central differences.
 
-    ``params`` maps name -> leaf Tensor; every element of every parameter
-    is perturbed.  Returns name -> max relative error.
+    ``params`` maps name -> leaf Tensor; each is marked requires_grad and
+    every element is perturbed in place and restored.  Returns name -> max
+    over elements of |analytic - central| / (|central| + 1e-8).
     """
     for p in params.values():
+        p.requires_grad = True
         p.zero_grad()
     backward(loss_fn())
     errors = {}

@@ -3,8 +3,9 @@
 Configuration precedence, lowest to highest: built-in defaults, the
 ``SGCN_DATA_ROOT`` environment variable (data root only), values from a
 ``--config`` key=value file, explicit command-line flags.  Every run
-echoes its fully resolved configuration into the output directory so a
-later ``--config resolved.cfg`` reproduces it.
+loads and checks its inputs, then echoes its fully resolved configuration
+(with the xi it used) into the output directory so a later ``--config
+resolved.cfg`` reproduces it.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ def _echo_config(run: RunConfig, out: Path) -> None:
     write_config_file(out / "resolved.cfg", values)
 
 
-def _prepare_out(run: RunConfig) -> Path:
+def _prepare_out(run: RunConfig, cfg: ModelConfig) -> Path:
+    """Create the output directory; the echo carries the xi the run used."""
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(run, out)
+    _echo_config(replace(run, xi=cfg.xi), out)
     return out
 
 
@@ -147,10 +149,10 @@ def _load_weights(run: RunConfig, explicit: set) -> tuple:
 
 
 def cmd_train(run: RunConfig, explicit: set) -> int:
-    out = _prepare_out(run)
     model_cfg = ModelConfig(xi=run.xi)
     train_cfg = TrainConfig(epochs=run.epochs, batch_size=run.batch_size, lr=run.lr, seed=run.seed)
     split = leave_one_out_split(_load_tables(run), run.holdout, model_cfg.t_obs, model_cfg.t_pred)
+    out = _prepare_out(run, model_cfg)
     checkpoint = out / "checkpoint.ckpt"
     train(
         split.train_scenes,
@@ -164,9 +166,9 @@ def cmd_train(run: RunConfig, explicit: set) -> int:
 
 
 def cmd_eval(run: RunConfig, explicit: set) -> int:
-    out = _prepare_out(run)
     weights, cfg = _load_weights(run, explicit)
     split = leave_one_out_split(_load_tables(run), run.holdout, cfg.t_obs, cfg.t_pred)
+    out = _prepare_out(run, cfg)
     report = evaluate_best_of_k(
         weights, cfg, split.test_scenes, k=run.num_samples, seed=run.seed, jobs=run.jobs
     )
@@ -180,9 +182,9 @@ def cmd_eval(run: RunConfig, explicit: set) -> int:
 def cmd_predict(run: RunConfig, explicit: set) -> int:
     if run.num_samples < 0:
         raise ConfigError(f"num_samples must be >= 0, got {run.num_samples}")
-    out = _prepare_out(run)
     weights, cfg = _load_weights(run, explicit)
     scene = _load_scene_input(run, cfg.t_obs)
+    out = _prepare_out(run, cfg)
     ids, obs = scene.pedestrian_ids, scene.positions_obs
     params = predict(scene.displacements_obs, weights, cfg)
     last = obs[-1]
@@ -212,9 +214,9 @@ def cmd_predict(run: RunConfig, explicit: set) -> int:
 
 
 def cmd_dump_graphs(run: RunConfig, explicit: set) -> int:
-    out = _prepare_out(run)
     weights, cfg = _load_weights(run, explicit)
     scene = _load_scene_input(run, cfg.t_obs)
+    out = _prepare_out(run, cfg)
     ids = scene.pedestrian_ids
     _, spatial, temporal = forward(scene.displacements_obs, weights, cfg)
 

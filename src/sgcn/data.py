@@ -10,6 +10,7 @@ absolute positions are recovered by cumulative summation.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,19 +68,19 @@ class DatasetSplit:
 
 def _parse_int_field(token: str, what: str, where: str) -> int:
     # int() keeps ids beyond 2**53 exact; float() accepts exports that write ids as "1.0".
+    shown = repr(token if len(token) <= 40 else token[:40] + "...")
     try:
         value = int(token)
     except ValueError:
         try:
             value = float(token)
         except ValueError:
-            raise DataError(f"{where}: {what} {token!r} is not numeric") from None
-        if not value.is_integer():  # also rejects nan and inf
-            raise DataError(f"{where}: {what} {token!r} is not integral")
-        value = int(value)
-    if abs(value) >= 2**63:
-        raise DataError(f"{where}: {what} {token!r} is outside the int64 range")
-    return value
+            raise DataError(f"{where}: {what} {shown} is not numeric") from None
+        if token.lstrip("+-").lower() in ("inf", "infinity") or not (math.isinf(value) or value.is_integer()):
+            raise DataError(f"{where}: {what} {shown} is not integral")  # nan, inf, 10.5
+    if abs(value) >= 2**63:  # inf here: more digits than int() reads (4,300)
+        raise DataError(f"{where}: {what} {shown} is outside the int64 range")
+    return int(value)
 
 
 def _read_records(path: Path, order: tuple) -> tuple | None:
@@ -87,7 +88,8 @@ def _read_records(path: Path, order: tuple) -> tuple | None:
 
     Every field is read as float64, so ids spelled "10" and "10.0" both pass; the file is
     refused unless each frame and id is integral and below 2**53 in magnitude, where
-    float64 holds it exactly.  loadtxt refuses every other row the per-line rules refuse.
+    float64 holds it exactly, and each position is finite.  loadtxt refuses every other
+    row the per-line rules refuse.
     """
     try:
         with open(path) as fh, warnings.catch_warnings():
@@ -98,9 +100,10 @@ def _read_records(path: Path, order: tuple) -> tuple | None:
     if table.shape[1] != len(FIELD_NAMES):
         return None
     ids = table[:, [order.index("frame"), order.index("id")]]
-    if not ((np.abs(ids) < 2**53) & (ids == np.floor(ids))).all():  # also refuses nan and inf
+    xy = table[:, [order.index("x"), order.index("y")]]
+    if not ((np.abs(ids) < 2**53) & (ids == np.floor(ids))).all() or not np.isfinite(xy).all():  # nan, inf
         return None
-    return ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64), table[:, [order.index("x"), order.index("y")]]
+    return ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64), xy
 
 
 def _read_lines(path: Path, order: tuple) -> tuple:
@@ -123,10 +126,13 @@ def _read_lines(path: Path, order: tuple) -> tuple:
             frames.append(_parse_int_field(tokens[col["frame"]], "frame_id", where))
             ped_ids.append(_parse_int_field(tokens[col["id"]], "pedestrian_id", where))
             try:
-                xs.append(float(tokens[col["x"]]))
-                ys.append(float(tokens[col["y"]]))
+                x, y = float(tokens[col["x"]]), float(tokens[col["y"]])
             except ValueError:
                 raise DataError(f"{where}: position fields must be numeric") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DataError(f"{where}: position fields must be finite")
+            xs.append(x)
+            ys.append(y)
 
     if not frames:
         raise DataError(f"{path}: no trajectory rows")
@@ -145,13 +151,6 @@ def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTab
         raise ConfigError(f"field_order must permute {' '.join(FIELD_NAMES)!r}, got {field_order!r}")
     path = Path(path)
     frames, ped_ids, xy = _read_records(path, order) or _read_lines(path, order)
-
-    finite = np.isfinite(xy).all(axis=1)
-    if not finite.all():
-        with open(path) as fh:  # one row per non-blank line
-            lineno = [n for n, line in enumerate(fh, start=1) if line.strip()][np.argmin(finite)]
-        raise DataError(f"{path}:{lineno}: position fields must be finite")
-
     order_idx = np.lexsort((ped_ids, frames))
     frames, ped_ids, xy = frames[order_idx], ped_ids[order_idx], xy[order_idx]
 

@@ -73,6 +73,8 @@ def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
     ``params`` is scene i's BiGaussianParams, from one tape-free forward
     pass per equal-N group; ``jobs`` threads run whole groups.
     """
+    if not scenes:
+        raise ConfigError("evaluation requires at least one scene window")
     frozen = {name: Tensor(p.data) for name, p in weights.items()}  # constants: no tape is recorded
     groups = group_by_size([s.n_pedestrians for s in scenes], INFER_GROUP_PEDESTRIANS)
 
@@ -96,8 +98,6 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
     """Best-of-K metrics over test scenes; deterministic for a given seed."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not scenes:
-        raise ConfigError("evaluation requires at least one scene window")
     start = time.monotonic()
     children = np.random.SeedSequence(seed).spawn(len(scenes))
 
@@ -138,8 +138,6 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
 
 def mu_path_metrics(weights, cfg: ModelConfig, scenes) -> tuple:
     """(ADE, FDE) of the deterministic mean path, no sampling."""
-    if not scenes:
-        raise ConfigError("evaluation requires at least one scene window")
     def mu_path(i, params):
         return _path_errors(mu_trajectory(params, scenes[i].positions_obs[-1]), scenes[i].positions_fut)
 

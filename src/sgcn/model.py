@@ -248,7 +248,7 @@ def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple:
-    """Read (weights, ModelConfig); malformed files raise CheckpointError."""
+    """Read (constant weights, ModelConfig); malformed files raise CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head, sep, _ = blob.partition(b"\nEND\n")
@@ -308,7 +308,7 @@ def load_checkpoint(path) -> tuple:
         count = math.prod(shape)
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         try:
-            weights[name] = Tensor(flat.reshape(shape).copy(), requires_grad=True)
+            weights[name] = Tensor(flat.reshape(shape).copy())
         except NumericsError:
             raise CheckpointError(f"{path}: parameter {name} holds non-finite values") from None
         offset += count * 8

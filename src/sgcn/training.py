@@ -108,13 +108,8 @@ def write_loss_log(rows, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def scene_loss(scene, weights: dict, model_cfg: ModelConfig) -> Tensor:
-    raw, _, _ = forward(scene.displacements_obs, weights, model_cfg)
-    return nll_loss(raw, future_displacements(scene))
-
-
 def group_loss(scenes, weights: dict, model_cfg: ModelConfig) -> Tensor:
-    """Losses [B] of equal-N scenes from one forward pass; each equals its scene_loss bit for bit."""
+    """Losses [B] of equal-N scenes from one forward pass; each equals its group-of-one loss bit for bit."""
     raw, _, _ = forward(np.stack([s.displacements_obs for s in scenes]), weights, model_cfg)
     return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
 
@@ -130,7 +125,7 @@ def _backward_group(scenes, weights: dict, model_cfg: ModelConfig) -> np.ndarray
     except NumericsError:
         for scene in scenes:
             try:
-                scene_loss(scene, weights, model_cfg)
+                group_loss([scene], weights, model_cfg)
             except NumericsError as err:
                 raise NumericsError(
                     f"scene {scene.scene_name}@frame{scene.start_frame} "
@@ -158,6 +153,8 @@ def train(
         raise ConfigError("training requires at least one scene window")
     if weights is None:
         weights = init_weights(model_cfg, seed=train_cfg.seed)
+    for p in weights.values():  # loaded checkpoints hold constants
+        p.requires_grad = True
     optimizer = Adam(weights)
     order_rng = np.random.default_rng(train_cfg.seed)
     rows = []

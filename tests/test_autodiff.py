@@ -268,7 +268,7 @@ class TestBackward:
 class TestFiniteDiffCheck:
     def test_linear_exact(self):
         x = ad.Tensor(np.arange(4.0))
-        assert ad.finite_diff_check(ad.tsum, x) < 1e-10
+        assert ad.finite_diff_check_params(lambda: ad.tsum(x), {"x": x})["x"] < 1e-10
 
     def test_threshold_constant_path(self):
         # Hard-threshold masks are constants: the analytic gradient through
@@ -280,7 +280,7 @@ class TestFiniteDiffCheck:
             keep = ad.Tensor((ad._sigmoid(t.data) >= 0.5).astype(float))
             return ad.tsum(t * keep)
 
-        assert ad.finite_diff_check(f, x) < 1e-8
+        assert ad.finite_diff_check_params(lambda: f(x), {"x": x})["x"] < 1e-8
 
 
 PRIMITIVE_CASES = {
@@ -323,7 +323,7 @@ def check_primitive_gradient(name):
             x = ad.Tensor(np.where(np.abs(x.data) > 0.85, 0.0, x.data))
         if name == "prelu":  # keep away from the kink at 0
             x = ad.Tensor(np.where(np.abs(x.data) < 0.05, 0.5, x.data))
-        assert ad.finite_diff_check(f, x, h=1e-4) < 1e-4, name
+        assert ad.finite_diff_check_params(lambda: f(x), {"x": x}, h=1e-4)["x"] < 1e-4, name
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))

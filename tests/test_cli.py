@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import sgcn
 from sgcn import cli
 from sgcn import data as sgcn_data
 from sgcn import evaluation as ev
+from sgcn import model as sgcn_model
 from sgcn import training as tr
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig, TrainConfig, read_config_file
@@ -107,6 +109,13 @@ class TestTrainCommand:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (out / "checkpoint.ckpt").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--batch-size", "0"), ("--holdout", "NOPE")])
+    def test_rejected_run_creates_no_directory(self, fixture_root, tmp_path, flag, value):
+        out = tmp_path / "run"
+        code = run_cli(["train", "--data-root", fixture_root, "--holdout", "DUMMY", flag, value, "--out", out])
+        assert code == 2
+        assert not out.exists()
+
     def test_missing_data_root_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         code = run_cli(["train", "--data-root", missing, "--out", tmp_path / "o"])
@@ -194,6 +203,19 @@ class TestEvalCommand:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_resolved_config_keeps_checkpoint_xi(self, overfit_run, tmp_path):
+        # the echo carries the checkpoint's xi, so passing it back overrides nothing
+        checkpoint = tmp_path / "xi.ckpt"
+        save_checkpoint(checkpoint, overfit_run.weights, replace(overfit_run.model_cfg, xi=0.25))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli([
+            "eval", "--checkpoint", checkpoint, "--data-root", overfit_run.data_root,
+            "--holdout", "FIX1", "--seed", "4", "--out", first,
+        ]) == 0
+        assert read_config_file(first / "resolved.cfg")["xi"] == "0.25"
+        assert run_cli(["eval", "--config", first / "resolved.cfg", "--out", second]) == 0
+        assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
+
     def test_byte_identical_reruns(self, overfit_run, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -223,6 +245,24 @@ class TestPredictCommand:
         assert lines[0] == "ped_id,kind,sample,step,x,y,sigma_x,sigma_y,rho"
         kinds = {line.split(",")[1] for line in lines[1:]}
         assert kinds == {"obs", "mu", "sample"}
+
+    @pytest.mark.parametrize("command", ["predict", "dump-graphs"])
+    def test_checkpoint_weights_record_no_tape(self, command, overfit_run, tmp_path, monkeypatch):
+        taped = []
+        forward = sgcn_model.forward
+
+        def spy(displacements, weights, cfg):
+            outputs = forward(displacements, weights, cfg)
+            taped.append([t.requires_grad for t in (outputs[0], outputs[1].normalized, outputs[2].normalized)])
+            return outputs
+
+        monkeypatch.setattr(sgcn_model, "forward", spy)
+        monkeypatch.setattr(cli, "forward", spy)
+        assert run_cli([
+            command, "--checkpoint", overfit_run.checkpoint,
+            "--scene-file", overfit_run.data_root / "fix1.txt", "--out", tmp_path / "o",
+        ]) == 0
+        assert taped == [[False, False, False]]
 
     def test_deterministic_with_fixed_seed(self, overfit_run, tmp_path):
         blobs = []

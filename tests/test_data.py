@@ -1,5 +1,6 @@
 """Parsing, windowing, and displacement round-trip tests."""
 
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -64,6 +65,17 @@ class TestLoadSceneFile:
         p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", line])
         with pytest.raises(DataError, match=f"bad.txt:2: {what} .* is outside the int64 range"):
             dd.load_scene_file(p)
+
+    @pytest.mark.parametrize("token, verdict", [
+        ("1" * 5000, "is outside the int64 range"),  # more digits than int() reads
+        ("x" * 5000, "is not numeric"),
+        ("0." + "1" * 5000, "is not integral"),
+    ], ids=["too_long_for_int", "not_numeric", "not_integral"])
+    def test_long_id_token_message_is_short(self, tmp_path, token, verdict):
+        p = write_lines(tmp_path / "big.txt", [f"0 {token} 1.0 1.0"])
+        with pytest.raises(DataError, match=re.escape(f"big.txt:1: pedestrian_id '{token[:40]}...' {verdict}")) as info:
+            dd.load_scene_file(p)
+        assert len(str(info.value)) - len(str(p)) < 100
 
     def test_undecodable_byte_named_with_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"

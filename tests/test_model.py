@@ -314,7 +314,7 @@ class TestCheckpoint:
         assert sorted(loaded) == sorted(w)
         for name in w:
             assert np.array_equal(loaded[name].data, w[name].data), name
-            assert loaded[name].requires_grad
+            assert not loaded[name].requires_grad
 
     def test_no_temp_file_left(self, tmp_path):
         cfg = small_cfg()

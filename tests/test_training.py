@@ -205,6 +205,19 @@ class TestTrainLoop:
         for name in weights:
             assert np.array_equal(loaded[name].data, weights[name].data)
 
+    def test_training_from_loaded_checkpoint_learns(self, tmp_path):
+        # loaded weights are constants; train() makes them trainable again
+        path = tmp_path / "w.ckpt"
+        tr.train(small_scenes(), SMALL_CFG, TrainConfig(epochs=1, batch_size=2), checkpoint_path=path)
+        loaded, cfg = load_checkpoint(path)
+        fresh = {name: Tensor(w.data.copy(), requires_grad=True) for name, w in loaded.items()}
+        before = {name: w.data.copy() for name, w in loaded.items()}
+        resumed, _ = tr.train(small_scenes(), cfg, TrainConfig(epochs=1, batch_size=2), weights=loaded)
+        want, _ = tr.train(small_scenes(), cfg, TrainConfig(epochs=1, batch_size=2), weights=fresh)
+        assert any(not np.array_equal(resumed[name].data, before[name]) for name in before)
+        for name in before:
+            assert np.array_equal(resumed[name].data, want[name].data), name
+
     def test_numerics_error_names_scene(self):
         scene = small_scenes()[0]
         bad = sgcn_data.TrajectoryScene(
@@ -283,7 +296,7 @@ def test_gate_cascade_parameters_never_learn():
     cfg = ModelConfig()
     scene = sgcn_data.TrajectoryScene((1, 2, 3), pos[: cfg.t_obs], pos[cfg.t_obs :], scene_name=name)
     weights = init_weights(cfg, seed=0)
-    ad.backward(tr.scene_loss(scene, weights, cfg))
+    ad.backward(tr.group_loss([scene], weights, cfg))
     no_grad = {n for n, w in weights.items() if w.grad is None}
     assert no_grad == {n for n in weights if n.startswith(("spa_conv", "tmp_conv"))}
     assert (len(no_grad), len(weights)) == (70, 104)
@@ -310,7 +323,7 @@ def test_group_losses_and_gradients_match_per_window():
 
     singles = []
     for scene in scenes:
-        loss = tr.scene_loss(scene, weights, cfg)
+        loss = tr.group_loss([scene], weights, cfg)
         ad.backward(loss)
         singles.append(loss.item())
     want = {name: w.grad for name, w in weights.items()}
