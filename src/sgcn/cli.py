@@ -21,7 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .config import ModelConfig, RunConfig, TrainConfig, read_config_file, write_config_file
-from .data import last_observation, leave_one_out_split, load_dataset, load_scene_file
+from .data import holdout_table, last_observation, leave_one_out_split, load_dataset, load_scene_file, window_scenes
 from .errors import ConfigError, SgcnError
 from .evaluation import evaluate_best_of_k, write_metrics_csv, write_summary
 from .model import forward, load_checkpoint, mu_trajectory, predict, sample_trajectory
@@ -167,11 +167,9 @@ def cmd_train(run: RunConfig, explicit: set) -> int:
 
 def cmd_eval(run: RunConfig, explicit: set) -> int:
     weights, cfg = _load_weights(run, explicit)
-    split = leave_one_out_split(_load_tables(run), run.holdout, cfg.t_obs, cfg.t_pred)
+    scenes = window_scenes(holdout_table(_load_tables(run), run.holdout), cfg.t_obs, cfg.t_pred)
     out = _prepare_out(run, cfg)
-    report = evaluate_best_of_k(
-        weights, cfg, split.test_scenes, k=run.num_samples, seed=run.seed, jobs=run.jobs
-    )
+    report = evaluate_best_of_k(weights, cfg, scenes, k=run.num_samples, seed=run.seed, jobs=run.jobs)
     write_metrics_csv(report, out / "metrics.csv")
     write_summary(report, out / "summary.txt")
     print(f"ADE {report.ade:.4f} FDE {report.fde:.4f} "

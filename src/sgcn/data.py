@@ -161,12 +161,21 @@ def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTab
     return RawTrajectoryTable(name=path.stem.upper(), frames=frames, ped_ids=ped_ids, xy=xy)
 
 
+def _distinct_frames(frames: np.ndarray) -> np.ndarray:
+    """Sorted distinct frames of a table's frame column, which the table keeps sorted."""
+    first = np.ones(len(frames), bool)
+    first[1:] = frames[1:] != frames[:-1]  # `!=` cannot wrap as an int64 difference can
+    return frames[first]
+
+
+def _frame_step(distinct: list) -> int:
+    """Smallest gap between consecutive ``distinct`` frames (1 for one frame), in Python ints, which cannot wrap."""
+    return min((b - a for a, b in zip(distinct, distinct[1:])), default=1)
+
+
 def infer_frame_step(table: RawTrajectoryTable) -> int:
     """Smallest gap between consecutive distinct frame ids (1 if only one frame)."""
-    unique = np.unique(table.frames).tolist()
-    if len(unique) < 2:
-        return 1
-    return min(b - a for a, b in zip(unique, unique[1:]))  # Python ints: an int64 difference can wrap
+    return _frame_step(_distinct_frames(table.frames).tolist())
 
 
 def reconstruct_positions(origin: np.ndarray, displacements: np.ndarray) -> np.ndarray:
@@ -192,26 +201,36 @@ def future_displacements(scene: TrajectoryScene) -> np.ndarray:
 def _runs(frames: np.ndarray, ped_ids: np.ndarray, unique: np.ndarray, length: int) -> tuple:
     """(start, rows) of every run of ``length`` consecutive ``unique`` frames one pedestrian is present at.
 
-    ``rows[r]`` holds run r's indices into ``frames`` in frame order, ``start[r]`` the index in
-    ``unique`` (the sorted distinct frames) of its first frame.  Runs are ordered by (start, pedestrian).
+    The rows must be in the table's (frame, pedestrian) order.  ``rows[r]`` holds run r's indices into
+    ``frames`` in frame order, ``start[r]`` the index in ``unique`` (the sorted distinct frames) of its
+    first frame.  Runs are ordered by (start, pedestrian).
     """
-    order = np.lexsort((frames, ped_ids))
+    order = np.argsort(ped_ids, kind="stable")  # (pedestrian, frame) order, since the rows are in frame order
     at = np.searchsorted(unique, frames[order])
     peds = ped_ids[order]
     follows = (peds[1:] == peds[:-1]) & (at[1:] == at[:-1] + 1)  # row i + 1 continues row i's run
     done = np.concatenate(([0], np.cumsum(follows)))
     first = np.arange(len(order) - length + 1)
     first = first[done[first + length - 1] - done[first] == length - 1]
-    first = first[np.lexsort((peds[first], at[first]))]
+    first = first[np.argsort(at[first], kind="stable")]  # runs with one start stay in pedestrian order
     return at[first], order[first[:, None] + np.arange(length)]
 
 
-def _scene(table: RawTrajectoryTable, rows: np.ndarray, t_obs: int) -> TrajectoryScene:
-    """Scene of the [N, T] table ``rows``: its first ``t_obs`` frames observed, the rest future."""
-    pos = table.xy[rows.T]
-    ids = tuple(table.ped_ids[rows[:, 0]].tolist())
-    start_frame = int(table.frames[rows[0, 0]])
-    return TrajectoryScene(ids, pos[:t_obs], pos[t_obs:], start_frame=start_frame, scene_name=table.name)
+def _cut(table: RawTrajectoryTable, rows: np.ndarray, edges: list, t_obs: int) -> list:
+    """Scenes of the runs ``rows[a:b]`` between consecutive ``edges``; runs share each scene's first frame.
+
+    One gather reads every run's positions; each scene copies its slice, so it owns
+    C-contiguous arrays and keeps no other scene's positions alive.  The first ``t_obs``
+    frames are observed, the rest future.
+    """
+    block = table.xy[rows.T]  # [T, runs, 2]
+    ids = table.ped_ids[rows[:, 0]].tolist()
+    starts = table.frames[rows[edges[:-1], 0]].tolist()
+    scenes = []
+    for a, b, start_frame in zip(edges, edges[1:], starts):
+        pos = block[:, a:b].copy()
+        scenes.append(TrajectoryScene(tuple(ids[a:b]), pos[:t_obs], pos[t_obs:], start_frame, table.name))
+    return scenes
 
 
 def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int) -> list:
@@ -220,38 +239,39 @@ def window_scenes(table: RawTrajectoryTable, t_obs: int, t_pred: int) -> list:
     A window starts at every distinct frame whose next t_obs + t_pred
     distinct frames are uniformly spaced by the dataset frame step.  A
     pedestrian joins a window only when present at every one of its
-    frames; windows with no qualifying pedestrian are dropped.
+    frames; windows with no qualifying pedestrian are dropped.  Relies on
+    the table's (frame, pedestrian) row order.
     """
     if t_obs < 1 or t_pred < 1:
         raise ConfigError(f"t_obs, t_pred must be >= 1, got {t_obs}, {t_pred}")
     total = t_obs + t_pred
-    unique = np.unique(table.frames)
-    # Spacing in Python ints, which cannot wrap as int64 differences can.
-    distinct, span = unique.tolist(), (total - 1) * infer_frame_step(table)
+    unique = _distinct_frames(table.frames)
+    distinct = unique.tolist()  # spacing in Python ints, which cannot wrap as int64 differences can
+    span = (total - 1) * _frame_step(distinct)
     uniform = np.array([last - first == span for first, last in zip(distinct, distinct[total - 1:])], bool)
     start, rows = _runs(table.frames, table.ped_ids, unique, total)
     keep = uniform[start]  # a recording gap interrupts the others
     start, rows = start[keep], rows[keep]
     edges = np.flatnonzero(np.diff(start, prepend=-1)).tolist() + [len(start)]
-    return [_scene(table, rows[a:b], t_obs) for a, b in zip(edges, edges[1:])]
+    return _cut(table, rows, edges, t_obs)
 
 
 def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
     """(observation-only scene of the last ``t_obs`` frames, sorted ids left out).
 
-    Same rules as :func:`window_scenes`.  The ids left out are those seen
-    in the last ``t_obs`` frames but not at every one of them.  Too few
-    frames, a gap, or nobody present at every frame raise a DataError
-    naming ``source``.
+    Same rules and the same cut as :func:`window_scenes`.  The ids left out
+    are those seen in the last ``t_obs`` frames but not at every one of
+    them.  Too few frames, a gap, or nobody present at every frame raise a
+    DataError naming ``source``.
     """
-    unique = np.unique(table.frames)
-    if len(unique) < t_obs:
-        raise DataError(f"{source}: needs at least {t_obs} distinct frames, found {len(unique)}")
-    window = unique[-t_obs:]
-    if int(window[-1]) - int(window[0]) != (t_obs - 1) * infer_frame_step(table):
+    unique = _distinct_frames(table.frames)
+    distinct = unique.tolist()
+    if len(distinct) < t_obs:
+        raise DataError(f"{source}: needs at least {t_obs} distinct frames, found {len(distinct)}")
+    if distinct[-1] - distinct[-t_obs] != (t_obs - 1) * _frame_step(distinct):
         raise DataError(f"{source}: recording gap inside the last {t_obs} frames")
-    lo = int(np.searchsorted(table.frames, window[0]))
-    rows = lo + _runs(table.frames[lo:], table.ped_ids[lo:], window, t_obs)[1]
+    lo = int(np.searchsorted(table.frames, unique[-t_obs]))
+    rows = lo + _runs(table.frames[lo:], table.ped_ids[lo:], unique[-t_obs:], t_obs)[1]
     ids = table.ped_ids[rows[:, 0]].tolist()
     dropped = sorted(set(table.ped_ids[lo:].tolist()).difference(ids))
     if not ids:
@@ -259,7 +279,7 @@ def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
             f"{source}: no pedestrian observed at all of the last {t_obs} frames; "
             f"dropped pedestrians {dropped}"
         )
-    return _scene(table, rows, t_obs), dropped
+    return _cut(table, rows, [0, len(rows)], t_obs)[0], dropped
 
 
 def load_dataset(data_root, field_order: str = "frame id x y") -> dict:
@@ -278,17 +298,17 @@ def load_dataset(data_root, field_order: str = "frame id x y") -> dict:
     return tables
 
 
-def leave_one_out_split(tables: dict, holdout: str, t_obs: int, t_pred: int) -> DatasetSplit:
-    """Train on every scene except ``holdout``; test on the holdout's windows."""
+def holdout_table(tables: dict, holdout: str) -> RawTrajectoryTable:
+    """The table of scene ``holdout``; a ConfigError lists the scenes when there is none."""
     if holdout not in tables:
         raise ConfigError(f"holdout {holdout!r} not among scenes {sorted(tables)}")
-    train, test = [], []
-    for name, table in tables.items():
-        windows = window_scenes(table, t_obs, t_pred)
-        if name == holdout:
-            test.extend(windows)
-        else:
-            train.extend(windows)
+    return tables[holdout]
+
+
+def leave_one_out_split(tables: dict, holdout: str, t_obs: int, t_pred: int) -> DatasetSplit:
+    """Train on every scene except ``holdout``; test on the holdout's windows."""
+    test = window_scenes(holdout_table(tables, holdout), t_obs, t_pred)
+    train = [w for name, table in tables.items() if name != holdout for w in window_scenes(table, t_obs, t_pred)]
     if not train:
         logger.warning("split with holdout %s has no training scenes", holdout)
     return DatasetSplit(train_scenes=train, test_scenes=test, holdout_name=holdout)

@@ -184,6 +184,29 @@ class TestEvalCommand:
         assert float(overall[1]) == report.ade
         assert float(overall[2]) == report.fde
 
+    def test_windows_only_the_holdout(self, overfit_run, tmp_path, monkeypatch):
+        cut = []
+
+        def spy(table, t_obs, t_pred):
+            cut.append(table.name)
+            return sgcn_data.window_scenes(table, t_obs, t_pred)
+
+        monkeypatch.setattr(cli, "window_scenes", spy)
+        assert run_cli([
+            "eval", "--checkpoint", overfit_run.checkpoint,
+            "--data-root", overfit_run.data_root, "--holdout", "FIX2", "--out", tmp_path / "o",
+        ]) == 0
+        assert cut == ["FIX2"]
+
+    def test_unknown_holdout_lists_scenes(self, overfit_run, tmp_path, capsys):
+        code = run_cli([
+            "eval", "--checkpoint", overfit_run.checkpoint,
+            "--data-root", overfit_run.data_root, "--holdout", "FOO", "--out", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "holdout 'FOO' not among scenes ['DUMMY', 'FIX1', 'FIX2']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_corrupted_checkpoint_names_version(self, overfit_run, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         blob = overfit_run.checkpoint.read_bytes()

@@ -342,6 +342,62 @@ def test_windowing_matches_brute_force(seed, n_peds):
         assert s.displacements_obs.shape == s.positions_obs.shape
 
 
+INT64_MAX = 2**63 - 1
+EDGE_IDS = (0, 1, -1, 2**53, 2**53 + 1, -(2**53) - 3, INT64_MAX, -INT64_MAX)
+
+
+def memory_owner(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@st.composite
+def edge_tables(draw):
+    """(rows, t_obs, t_pred): up to 4 pedestrians, each at some frames of a grid that may touch either int64 edge."""
+    t_obs, t_pred = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    step = draw(st.sampled_from((1, 10, 5 * 10**17)) | st.integers(1, 5 * 10**17))
+    slots = draw(st.integers(1, 10))
+    lo, hi = -(2**63), INT64_MAX - (slots - 1) * step
+    origin = draw(st.sampled_from((lo, hi)) | st.integers(lo, hi))
+    frames = [origin + k * step for k in range(slots) if draw(st.integers(0, 5))]  # a dropped slot is a gap
+    id_values = st.sampled_from(EDGE_IDS) | st.integers(-INT64_MAX, INT64_MAX)
+    ids = draw(st.lists(id_values, min_size=1, max_size=4, unique=True))
+    rows = [(f, p, float(len(ids) * i + j), -0.5 * i) for i, f in enumerate(frames)
+            for j, p in enumerate(ids) if draw(st.integers(0, 4))]
+    return rows or [(origin, ids[0], 0.0, 0.0)], t_obs, t_pred
+
+
+@given(edge_tables())
+@example(([(-(2**63) + k * 5 * 10**17, INT64_MAX, float(k), 0.0) for k in range(6)], 3, 3))  # lower edge
+@example(([(INT64_MAX - k * 5 * 10**17, -INT64_MAX, float(k), 0.0) for k in range(6)], 1, 1))  # upper edge
+@example(([(7, p, float(p), 0.0) for p in EDGE_IDS], 1, 1))  # a single frame
+@settings(max_examples=200, deadline=None)
+def test_windows_at_int64_edges_match_brute_force(case):
+    rows, t_obs, t_pred = case
+    table = make_table(rows)
+    got = dd.window_scenes(table, t_obs, t_pred)
+    assert [(s.start_frame, s.pedestrian_ids) for s in got] == brute_force_windows(table, t_obs, t_pred)
+    unique = sorted(set(table.frames.tolist()))
+    xy_at = {(f, p): (x, y) for f, p, x, y in rows}
+    arrays = []
+    for s in got:
+        assert type(s.start_frame) is int and all(type(p) is int for p in s.pedestrian_ids)
+        first = unique.index(s.start_frame)
+        window = unique[first : first + t_obs + t_pred]
+        expected = np.array([[xy_at[(f, p)] for p in s.pedestrian_ids] for f in window])
+        assert np.array_equal(np.concatenate([s.positions_obs, s.positions_fut]), expected)
+        assert s.positions_obs.flags.c_contiguous and s.positions_fut.flags.c_contiguous
+        arrays.append((s.positions_obs, s.positions_fut))
+        owners = {id(o): o for o in map(memory_owner, arrays[-1])}
+        assert sum(o.nbytes for o in owners.values()) == s.positions_obs.nbytes + s.positions_fut.nbytes
+    # No two windows share memory, nor the memory bounds that views of one shared gather would.
+    for i, mine in enumerate(arrays):
+        for theirs in arrays[i + 1:]:
+            assert not any(np.may_share_memory(a, b) for a in mine for b in theirs)
+            assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 @example(3, 2)  # recording gap
 @example(6, 2)  # nobody present at all frames

@@ -408,6 +408,33 @@ class TestCheckpoint:
             mm.load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    def test_truncations_and_byte_flips_load_or_name_file(self, tmp_path):
+        # A bare ValueError, KeyError, IndexError or UnicodeDecodeError escapes and fails the test.
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=15), cfg)
+        blob = path.read_bytes()
+        header = blob.index(b"\nEND\n") + len(b"\nEND\n")
+
+        def put(at, byte):
+            return blob[:at] + bytes([byte]) + blob[at + 1:]
+
+        cases = [blob[:n] for n in [*range(header + 16), *range(header + 16, len(blob), 64)]]
+        flips = (0x01, 0x10, 0x80, 0xFF)
+        cases += [put(at, blob[at] ^ flips[at % 4]) for at in [*range(header), *range(header, len(blob), 41)]]
+        cases += [put(at, b"\n =-09"[at % 6]) for at in range(header)]  # separators, signs and digits
+        cases += [blob[:at] + b"\xf0\x7f" + blob[at + 2:] for at in range(header + 6, len(blob), 1000)]  # inf or nan
+        loaded = 0
+        for damaged in cases:
+            path.write_bytes(damaged)
+            try:
+                mm.load_checkpoint(path)
+            except CheckpointError as err:
+                assert str(path) in str(err), err
+            else:
+                loaded += 1
+        assert 0 < loaded < len(cases)
+
     def test_missing_end_marker(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"SGCNCKPT 1\nt_obs=4\n")
