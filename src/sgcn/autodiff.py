@@ -5,13 +5,22 @@ closure on the output tensor; ``backward`` replays those records in
 reverse execution order and accumulates gradients into the leaves.
 The primitive set is exactly what the trajectory model needs: batched
 matmul, zero-padded 2-d convolution, masked softmax, and a handful of
-pointwise functions.  Outputs are checked for NaN/Inf after every
-primitive so numerical failures surface at their source.
+pointwise functions.
+
+By default every primitive checks its output for NaN/Inf, so a numerical
+failure surfaces at its source.  That check took about a tenth of
+evaluation time, so ``model.forward`` runs its pass inside
+``scope(deferred=True)`` and checks only the arrays that leave the tape;
+if one is not finite it reruns the (deterministic) pass with per-op
+checks on to name the first non-finite op.  ``scope(stage=...)`` names
+the model stage that a NumericsError reports.  Both settings are per
+thread, so concurrent forward passes do not see each other's.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 
 import numpy as np
 
@@ -20,9 +29,39 @@ from .errors import ConfigError, NumericsError, ShapeError
 logger = logging.getLogger(__name__)
 
 
+class _CheckState(threading.local):
+    deferred = False  # skip the per-primitive check; the caller checks the pass's exits
+    stage = None      # model stage named in NumericsError messages
+
+
+_state = _CheckState()
+
+
+class scope:
+    """``with scope(stage="branches")`` or ``with scope(deferred=True)``.
+
+    Sets this thread's check state for the block and restores the
+    previous values on exit, also when the block raises.
+    """
+
+    def __init__(self, **state):
+        self._state = state
+
+    def __enter__(self):
+        self._saved = {key: getattr(_state, key) for key in self._state}
+        for key, value in self._state.items():
+            setattr(_state, key, value)
+        return self
+
+    def __exit__(self, *exc):
+        for key, value in self._saved.items():
+            setattr(_state, key, value)
+
+
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.isfinite(data).all():
-        raise NumericsError(f"non-finite values produced by '{op}'")
+        where = f" in stage '{_state.stage}'" if _state.stage else ""
+        raise NumericsError(f"non-finite values produced by '{op}'{where}")
 
 
 class Tensor:
@@ -43,7 +82,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None, _op="tensor"):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data, _op)
+        if not _state.deferred:
+            _check_finite(self.data, _op)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents if self.requires_grad else ()

@@ -21,7 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .config import ModelConfig, RunConfig, TrainConfig, read_config_file, write_config_file
-from .data import holdout_table, last_observation, leave_one_out_split, load_dataset, load_scene_file, window_scenes
+from .data import holdout_table, last_observation, load_dataset, load_scene_file, training_windows, window_scenes
 from .errors import ConfigError, SgcnError
 from .evaluation import evaluate_best_of_k, write_metrics_csv, write_summary
 from .model import forward, load_checkpoint, mu_trajectory, predict, sample_trajectory
@@ -151,11 +151,11 @@ def _load_weights(run: RunConfig, explicit: set) -> tuple:
 def cmd_train(run: RunConfig, explicit: set) -> int:
     model_cfg = ModelConfig(xi=run.xi)
     train_cfg = TrainConfig(epochs=run.epochs, batch_size=run.batch_size, lr=run.lr, seed=run.seed)
-    split = leave_one_out_split(_load_tables(run), run.holdout, model_cfg.t_obs, model_cfg.t_pred)
+    scenes = training_windows(_load_tables(run), run.holdout, model_cfg.t_obs, model_cfg.t_pred)
     out = _prepare_out(run, model_cfg)
     checkpoint = out / "checkpoint.ckpt"
     train(
-        split.train_scenes,
+        scenes,
         model_cfg,
         train_cfg,
         checkpoint_path=checkpoint,

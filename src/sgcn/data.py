@@ -305,10 +305,17 @@ def holdout_table(tables: dict, holdout: str) -> RawTrajectoryTable:
     return tables[holdout]
 
 
-def leave_one_out_split(tables: dict, holdout: str, t_obs: int, t_pred: int) -> DatasetSplit:
-    """Train on every scene except ``holdout``; test on the holdout's windows."""
-    test = window_scenes(holdout_table(tables, holdout), t_obs, t_pred)
+def training_windows(tables: dict, holdout: str, t_obs: int, t_pred: int) -> list:
+    """Windows of every scene except ``holdout``, which must be one of ``tables``; it is not windowed."""
+    holdout_table(tables, holdout)
     train = [w for name, table in tables.items() if name != holdout for w in window_scenes(table, t_obs, t_pred)]
     if not train:
         logger.warning("split with holdout %s has no training scenes", holdout)
+    return train
+
+
+def leave_one_out_split(tables: dict, holdout: str, t_obs: int, t_pred: int) -> DatasetSplit:
+    """Train on every scene except ``holdout``; test on the holdout's windows."""
+    test = window_scenes(holdout_table(tables, holdout), t_obs, t_pred)
+    train = training_windows(tables, holdout, t_obs, t_pred)
     return DatasetSplit(train_scenes=train, test_scenes=test, holdout_name=holdout)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import ConfigError
-from .model import group_by_size, mu_trajectory, predict, sample_trajectory
+from .errors import ConfigError, NumericsError
+from .model import group_by_size, mu_trajectory, name_failing_scene, predict, sample_trajectory
 
 # Cap on the window-pedestrians (sum of N) of one inference group.  With
 # no tape, a forward pass peaks near 60 KB per window-pedestrian
@@ -71,15 +71,24 @@ def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
     """``score(i, params)`` for every scene i, in scene order.
 
     ``params`` is scene i's BiGaussianParams, from one tape-free forward
-    pass per equal-N group; ``jobs`` threads run whole groups.
+    pass per equal-N group; ``jobs`` threads run whole groups.  A
+    NumericsError names the first scene of the group that fails on its own.
     """
     if not scenes:
         raise ConfigError("evaluation requires at least one scene window")
     frozen = {name: Tensor(p.data) for name, p in weights.items()}  # constants: no tape is recorded
     groups = group_by_size([s.n_pedestrians for s in scenes], INFER_GROUP_PEDESTRIANS)
 
+    def group_params(members):
+        return predict(np.stack([s.displacements_obs for s in members]), frozen, cfg)
+
     def run(group):
-        params = predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg)
+        members = [scenes[i] for i in group]
+        try:
+            params = group_params(members)
+        except NumericsError:
+            name_failing_scene(group_params, members)
+            raise
         return [score(i, params.window(b)) for b, i in enumerate(group)]
 
     if jobs > 1:

@@ -121,8 +121,12 @@ def sparsify(scores: Tensor, features: np.ndarray, xi: float, allowed=True) -> S
     An entry is kept where sigmoid(features) >= xi or it lies on the
     diagonal, and only where ``allowed`` (a bool pattern broadcast
     against the scores) permits; pruned entries are exactly 0 after
-    zero_softmax.  ``allowed`` must include the diagonal.
+    zero_softmax.  ``allowed`` must include the diagonal.  ``features``
+    leave the tape here, so they are checked even when per-op checks are
+    deferred: sigmoid(NaN) >= xi is False, so a NaN would otherwise prune
+    its edge without an error.
     """
+    ad._check_finite(features, "gate features")
     keep = (sparse_mask(features, xi) | np.eye(scores.shape[-1], dtype=bool)) & allowed
     return SparseAdjacency(normalized=zero_softmax(scores * keep), mask=keep)
 

@@ -122,6 +122,22 @@ def group_by_size(sizes, budget: int) -> list:
     return groups
 
 
+def name_failing_scene(run, scenes) -> None:
+    """After ``run(scenes)`` raised a NumericsError, find the scene that fails on its own.
+
+    Reruns ``run`` on each scene as a group of one and re-raises the
+    first NumericsError prefixed with ``scene NAME@frameF (N=n): ``;
+    returns if no scene fails alone.
+    """
+    for scene in scenes:
+        try:
+            run([scene])
+        except NumericsError as err:
+            raise NumericsError(
+                f"scene {scene.scene_name}@frame{scene.start_frame} (N={scene.n_pedestrians}): {err}"
+            ) from err
+
+
 def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
     """One propagation step: receivers aggregate their influencers.
 
@@ -165,20 +181,43 @@ def tcn_head(h: Tensor, weights: dict, cfg: ModelConfig) -> Tensor:
     return ad.matmul(x, weights["out_proj_w"]) + weights["out_proj_b"]
 
 
+def _stages(displacements, weights: dict, cfg: ModelConfig):
+    """``forward``'s pass, each stage named for NumericsError messages, then the head-output check."""
+    with ad.scope(stage="spatial_graph"):
+        spa, h0_spa = build_spatial_graph(displacements, weights, cfg)
+    with ad.scope(stage="temporal_graph"):
+        tmp, h0_tmp = build_temporal_graph(displacements, weights, cfg)
+    with ad.scope(stage="branches"):
+        h_itf = interaction_tendency_branch(spa.normalized, tmp.normalized, h0_spa, weights)
+        h_tif = tendency_interaction_branch(spa.normalized, tmp.normalized, h0_tmp, weights)
+        fused = fuse_branches(h_itf, h_tif)
+    with ad.scope(stage="tcn_head"):
+        raw = tcn_head(fused, weights, cfg)
+    ad._check_finite(raw.data, "tcn_head")
+    return raw, spa, tmp
+
+
 def forward(displacements, weights: dict, cfg: ModelConfig):
     """Full pass: observed displacements [..., T_obs, N, 2] -> raw head output [..., T_pred, N, 5].
 
     The leading axis, if any, stacks windows of equal N; each window's
     output is bit-identical to its own single-window pass.
 
+    Per-op finiteness checks are deferred: only the arrays that leave
+    the tape are checked, the head output and the two graphs' gate
+    features (in ``sparsify``).  If one is not finite, the pass is rerun
+    with per-op checks on, so the NumericsError names the first
+    non-finite op and its stage.
+
     Returns (raw, spatial SparseAdjacency, temporal SparseAdjacency).
     """
-    spa, h0_spa = build_spatial_graph(displacements, weights, cfg)
-    tmp, h0_tmp = build_temporal_graph(displacements, weights, cfg)
-    h_itf = interaction_tendency_branch(spa.normalized, tmp.normalized, h0_spa, weights)
-    h_tif = tendency_interaction_branch(spa.normalized, tmp.normalized, h0_tmp, weights)
-    fused = fuse_branches(h_itf, h_tif)
-    return tcn_head(fused, weights, cfg), spa, tmp
+    try:
+        with ad.scope(deferred=True):
+            return _stages(displacements, weights, cfg)
+    except NumericsError:
+        with ad.scope(deferred=False):
+            _stages(displacements, weights, cfg)
+        raise
 
 
 def to_gaussian(raw) -> BiGaussianParams:

@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
 from .errors import ConfigError, NumericsError
-from .model import forward, group_by_size, init_weights, save_checkpoint, zero_grads
+from .model import forward, group_by_size, init_weights, name_failing_scene, save_checkpoint, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +111,8 @@ def write_loss_log(rows, path) -> None:
 def group_loss(scenes, weights: dict, model_cfg: ModelConfig) -> Tensor:
     """Losses [B] of equal-N scenes from one forward pass; each equals its group-of-one loss bit for bit."""
     raw, _, _ = forward(np.stack([s.displacements_obs for s in scenes]), weights, model_cfg)
-    return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
+    with ad.scope(stage="loss"):
+        return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
 
 
 def _backward_group(scenes, weights: dict, model_cfg: ModelConfig) -> np.ndarray:
@@ -123,14 +124,7 @@ def _backward_group(scenes, weights: dict, model_cfg: ModelConfig) -> np.ndarray
         losses = group_loss(scenes, weights, model_cfg)
         ad.backward(ad.tsum(losses))
     except NumericsError:
-        for scene in scenes:
-            try:
-                group_loss([scene], weights, model_cfg)
-            except NumericsError as err:
-                raise NumericsError(
-                    f"scene {scene.scene_name}@frame{scene.start_frame} "
-                    f"(N={scene.n_pedestrians}): {err}"
-                ) from err
+        name_failing_scene(lambda one: group_loss(one, weights, model_cfg), scenes)
         raise
     return losses.data
 

@@ -1,5 +1,6 @@
 """Oracle and property tests for the reverse-mode engine."""
 
+import threading
 import zlib
 
 import numpy as np
@@ -219,6 +220,54 @@ class TestPointwise:
         with pytest.raises((NumericsError, FloatingPointError)):
             with np.errstate(divide="raise", invalid="raise"):
                 ad.div(ad.Tensor(1.0), ad.Tensor(0.0))
+
+
+class TestCheckScope:
+    def test_stage_is_named_in_the_message(self):
+        with pytest.raises(NumericsError, match=r"^non-finite values produced by 'exp' in stage 'branches'$"):
+            with ad.scope(stage="branches"), np.errstate(over="ignore"):
+                ad.exp(ad.Tensor(1000.0))
+
+    def test_deferred_block_skips_per_op_checks(self):
+        with ad.scope(deferred=True), np.errstate(over="ignore"):
+            out = ad.exp(ad.Tensor(1000.0))
+        assert np.isinf(out.item())
+
+    def test_state_restored_after_a_raise(self):
+        with pytest.raises(NumericsError, match="planted"):
+            with ad.scope(deferred=True, stage="spatial_graph"):
+                raise NumericsError("planted")
+        with pytest.raises(NumericsError, match=r"^non-finite values produced by 'exp'$"), np.errstate(over="ignore"):
+            ad.exp(ad.Tensor(1000.0))
+
+    def test_scopes_nest(self):
+        with ad.scope(stage="outer"):
+            with ad.scope(stage="inner"):
+                pass
+            with pytest.raises(NumericsError, match="in stage 'outer'"), np.errstate(over="ignore"):
+                ad.exp(ad.Tensor(1000.0))
+
+    def test_deferral_is_per_thread(self):
+        # another thread holding a deferred scope leaves this thread's checks on
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def hold():
+            with ad.scope(deferred=True, stage="other"), np.errstate(over="ignore"):
+                entered.set()
+                release.wait(10)
+                seen.append(ad.exp(ad.Tensor(1000.0)).item())
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert entered.wait(10)
+            with pytest.raises(NumericsError, match=r"^non-finite values produced by 'exp'$"), np.errstate(over="ignore"):
+                ad.exp(ad.Tensor(1000.0))
+        finally:
+            release.set()
+            worker.join()
+        assert seen == [np.inf]
 
 
 class TestBackward:

@@ -102,6 +102,29 @@ class TestTrainCommand:
         assert cfg == ModelConfig()
         assert set(weights) == set(init_weights(ModelConfig(), seed=0))
 
+    def test_windows_only_the_training_tables(self, fixture_root, tmp_path, monkeypatch):
+        cut = []
+        window_scenes = sgcn_data.window_scenes
+
+        def spy(table, t_obs, t_pred):
+            cut.append(table.name)
+            return window_scenes(table, t_obs, t_pred)
+
+        monkeypatch.setattr(sgcn_data, "window_scenes", spy)
+        assert run_cli([
+            "train", "--data-root", fixture_root, "--holdout", "FIX2",
+            "--epochs", "1", "--batch-size", "2", "--out", tmp_path / "o",
+        ]) == 0
+        assert cut == ["DUMMY", "FIX1"]
+
+    def test_unknown_holdout_lists_scenes(self, fixture_root, tmp_path, capsys):
+        code = run_cli([
+            "train", "--data-root", fixture_root, "--holdout", "FOO", "--epochs", "1", "--out", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "holdout 'FOO' not among scenes ['DUMMY', 'FIX1', 'FIX2']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_nan_lr_exits_2(self, fixture_root, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli(["train", "--data-root", fixture_root, "--holdout", "DUMMY", "--lr", "nan", "--out", out])

@@ -1,13 +1,16 @@
 """Displacement-error metrics and the best-of-K evaluation protocol."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sgcn import autodiff as ad
 from sgcn import data as sgcn_data
 from sgcn import evaluation as ev
 from sgcn import model as mm
 from sgcn.config import ModelConfig
-from sgcn.errors import ConfigError
+from sgcn.errors import ConfigError, NumericsError
 from sgcn.model import init_weights, mu_trajectory, predict, sample_trajectory
 
 from conftest import fixture_positions
@@ -147,6 +150,30 @@ class TestBestOfK:
         assert serial.ade == parallel.ade
         assert serial.fde == parallel.fde
         assert serial.per_scene == parallel.per_scene
+
+    def test_two_threads_equal_one(self):
+        # worker threads defer their own per-op checks; results do not move
+        scenes = random_scenes(n_scenes=8, seed=3)
+        weights = init_weights(SMALL_CFG, seed=2)
+        serial = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=1)
+        threaded = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=2)
+        assert (serial.ade, serial.fde, serial.per_scene) == (threaded.ade, threaded.fde, threaded.per_scene)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nan_window_names_scene_op_and_stage(self, jobs):
+        scenes = random_scenes(n_scenes=8, seed=3)
+        bad = replace(scenes[5], positions_obs=np.full_like(scenes[5].positions_obs, np.nan),
+                      start_frame=70, scene_name="BADSCENE")
+        scenes[5] = bad
+        assert sum(s.n_pedestrians == bad.n_pedestrians for s in scenes) > 1  # bad shares its group
+        weights = init_weights(SMALL_CFG, seed=2)
+        with pytest.raises(NumericsError, match=(
+            rf"^scene BADSCENE@frame70 \(N={bad.n_pedestrians}\): "
+            r"non-finite values produced by 'tensor' in stage 'spatial_graph'$"
+        )):
+            ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=jobs)
+        with pytest.raises(NumericsError), np.errstate(over="ignore"):
+            ad.exp(ad.Tensor(1000.0))
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_grouped_report_matches_per_scene_loop(self, tmp_path, jobs):

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgcn import autodiff as ad
+from sgcn import graphs as gg
 from sgcn import model as mm
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig
-from sgcn.errors import CheckpointError, ShapeError
+from sgcn.errors import CheckpointError, NumericsError, ShapeError
 
 
 def small_cfg(**kw):
@@ -245,6 +246,49 @@ class TestForward:
         for name, tensor in w.items():
             if "_conv" in name and name.startswith(("spa_", "tmp_")):
                 assert tensor.grad is None or not np.any(tensor.grad != 0.0), name
+
+
+class TestFiniteExits:
+    """forward defers per-op checks and checks only the arrays that leave the tape."""
+
+    def test_one_pass_makes_three_checks(self, monkeypatch):
+        # the head output and the two graphs' gate features
+        cfg = ModelConfig()
+        w = mm.init_weights(cfg, seed=8)
+        disp = np.random.default_rng(18).normal(scale=0.4, size=(2, 8, 3, 2))
+        checked = []
+        check = ad._check_finite
+
+        def spy(data, op):
+            checked.append(op)
+            check(data, op)
+
+        monkeypatch.setattr(ad, "_check_finite", spy)
+        mm.forward(disp, w, cfg)
+        assert sorted(checked) == ["gate features", "gate features", "tcn_head"]
+
+    @pytest.mark.parametrize("param, op, stage", [
+        ("spa_conv6_col_b", "conv2d", "spatial_graph"),
+        ("tmp_conv6_col_b", "conv2d", "temporal_graph"),
+        ("gcn_tmp2_w", "matmul", "branches"),
+        ("tcn_conv3_b", "conv2d", "tcn_head"),
+    ])
+    def test_nan_parameter_names_op_and_stage(self, param, op, stage):
+        cfg = ModelConfig()
+        w = mm.init_weights(cfg, seed=9)
+        w[param].data.reshape(-1)[0] = np.nan
+        disp = np.random.default_rng(19).normal(scale=0.4, size=(8, 3, 2))
+        with pytest.raises(NumericsError, match=rf"^non-finite values produced by '{op}' in stage '{stage}'$"):
+            mm.forward(disp, w, cfg)
+        # per-op checks are back on in this thread
+        with pytest.raises(NumericsError, match=r"^non-finite values produced by 'exp'$"), np.errstate(over="ignore"):
+            ad.exp(Tensor(1000.0))
+
+    def test_nan_gate_features_would_prune_every_edge(self):
+        # why the gate features are an exit: an unchecked NaN keeps only the diagonal
+        assert not gg.sparse_mask(np.full((3, 3), np.nan), 0.0).any()
+        with pytest.raises(NumericsError, match="'gate features'"):
+            gg.sparsify(Tensor(np.ones((3, 3))), np.full((3, 3), np.nan), 0.5)
 
 
 class TestSampling:

@@ -242,6 +242,26 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match=r"^scene BADSCENE@frame0 \(N=3\)"):
             tr.train(good + [bad], SMALL_CFG, TrainConfig(epochs=1, batch_size=8))
 
+    def test_nan_mid_model_names_op_stage_and_scene(self):
+        weights = init_weights(SMALL_CFG, seed=1)
+        weights["gcn_spa1_w"].data[0, 0] = np.nan
+        with pytest.raises(NumericsError, match=(
+            r"^scene FIX1@frame0 \(N=3\): non-finite values produced by 'matmul' in stage 'branches'$"
+        )):
+            tr.train(small_scenes(), SMALL_CFG, TrainConfig(epochs=1, batch_size=8), weights=weights)
+
+    def test_nan_target_names_loss_stage_and_scene(self):
+        good = small_scenes()
+        bad = sgcn_data.TrajectoryScene(
+            pedestrian_ids=good[0].pedestrian_ids,
+            positions_obs=good[0].positions_obs,
+            positions_fut=np.full_like(good[0].positions_fut, np.nan),
+            start_frame=40,
+            scene_name="BADSCENE",
+        )
+        with pytest.raises(NumericsError, match=r"^scene BADSCENE@frame40 \(N=3\): .* in stage 'loss'$"):
+            tr.train(good + [bad], SMALL_CFG, TrainConfig(epochs=1, batch_size=8))
+
     def test_remainder_window_still_steps(self):
         # 2 scenes with batch_size 8: the undersized epoch-end window must
         # produce an optimizer step rather than dropping its gradients
