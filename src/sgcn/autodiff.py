@@ -9,12 +9,12 @@ pointwise functions.
 
 By default every primitive checks its output for NaN/Inf, so a numerical
 failure surfaces at its source.  That check took about a tenth of
-evaluation time, so ``model.forward`` runs its pass inside
-``scope(deferred=True)`` and checks only the arrays that leave the tape;
-if one is not finite it reruns the (deterministic) pass with per-op
-checks on to name the first non-finite op.  ``scope(stage=...)`` names
-the model stage that a NumericsError reports.  Both settings are per
-thread, so concurrent forward passes do not see each other's.
+evaluation time, so ``model.map_groups`` runs every model pass inside
+``scope(deferred=True)``, where only the arrays that leave the tape are
+checked; if one fails, it reruns the windows one at a time with per-op
+checks on to name the first non-finite op and the scene.
+``scope(stage=...)`` names the model stage that a NumericsError reports.
+Both settings are per thread, so concurrent passes do not see each other's.
 """
 
 from __future__ import annotations

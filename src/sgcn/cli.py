@@ -24,7 +24,7 @@ from .config import ModelConfig, RunConfig, TrainConfig, read_config_file, write
 from .data import holdout_table, last_observation, load_dataset, load_scene_file, training_windows, window_scenes
 from .errors import ConfigError, SgcnError
 from .evaluation import evaluate_best_of_k, write_metrics_csv, write_summary
-from .model import forward, load_checkpoint, mu_trajectory, predict, sample_trajectory
+from .model import forward, load_checkpoint, map_groups, mu_trajectory, predict, sample_trajectory
 from .training import train
 
 logger = logging.getLogger(__name__)
@@ -152,6 +152,8 @@ def cmd_train(run: RunConfig, explicit: set) -> int:
     model_cfg = ModelConfig(xi=run.xi)
     train_cfg = TrainConfig(epochs=run.epochs, batch_size=run.batch_size, lr=run.lr, seed=run.seed)
     scenes = training_windows(_load_tables(run), run.holdout, model_cfg.t_obs, model_cfg.t_pred)
+    if not scenes:
+        raise ConfigError(f"no scene other than the holdout {run.holdout!r} has a complete window to train on")
     out = _prepare_out(run, model_cfg)
     checkpoint = out / "checkpoint.ckpt"
     train(
@@ -168,8 +170,8 @@ def cmd_train(run: RunConfig, explicit: set) -> int:
 def cmd_eval(run: RunConfig, explicit: set) -> int:
     weights, cfg = _load_weights(run, explicit)
     scenes = window_scenes(holdout_table(_load_tables(run), run.holdout), cfg.t_obs, cfg.t_pred)
-    out = _prepare_out(run, cfg)
     report = evaluate_best_of_k(weights, cfg, scenes, k=run.num_samples, seed=run.seed, jobs=run.jobs)
+    out = _prepare_out(run, cfg)
     write_metrics_csv(report, out / "metrics.csv")
     write_summary(report, out / "summary.txt")
     print(f"ADE {report.ade:.4f} FDE {report.fde:.4f} "
@@ -182,9 +184,9 @@ def cmd_predict(run: RunConfig, explicit: set) -> int:
         raise ConfigError(f"num_samples must be >= 0, got {run.num_samples}")
     weights, cfg = _load_weights(run, explicit)
     scene = _load_scene_input(run, cfg.t_obs)
+    [params] = map_groups(lambda _: [predict(scene.displacements_obs, weights, cfg)], [scene], scene.n_pedestrians)
     out = _prepare_out(run, cfg)
     ids, obs = scene.pedestrian_ids, scene.positions_obs
-    params = predict(scene.displacements_obs, weights, cfg)
     last = obs[-1]
     mu_path = mu_trajectory(params, last)
     samples = sample_trajectory(params, last, np.random.default_rng(run.seed), run.num_samples)
@@ -214,9 +216,11 @@ def cmd_predict(run: RunConfig, explicit: set) -> int:
 def cmd_dump_graphs(run: RunConfig, explicit: set) -> int:
     weights, cfg = _load_weights(run, explicit)
     scene = _load_scene_input(run, cfg.t_obs)
+    [(_, spatial, temporal)] = map_groups(
+        lambda _: [forward(scene.displacements_obs, weights, cfg)], [scene], scene.n_pedestrians
+    )
     out = _prepare_out(run, cfg)
     ids = scene.pedestrian_ids
-    _, spatial, temporal = forward(scene.displacements_obs, weights, cfg)
 
     def matrix_lines(m: np.ndarray):
         return [" ".join(repr(float(v)) for v in row) for row in m]

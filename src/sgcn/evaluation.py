@@ -5,7 +5,7 @@ pedestrians; FDE the mean distance at the final step.  Evaluation draws
 K trajectories per scene and keeps, per pedestrian, the sample with the
 smallest ADE; that same sample supplies the pedestrian's FDE.
 
-Scenes of equal pedestrian count are grouped (see
+``model.map_groups`` groups scenes of equal pedestrian count (see
 INFER_GROUP_PEDESTRIANS) and each group runs one forward pass on
 constant weights, so inference records no autodiff tape.  Worker
 threads take whole groups.  Each scene owns a spawned child seed and
@@ -16,7 +16,6 @@ identical for any grouping, evaluation order, and number of threads.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +23,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import ConfigError, NumericsError
-from .model import group_by_size, mu_trajectory, name_failing_scene, predict, sample_trajectory
+from .errors import ConfigError
+from .model import map_groups, mu_trajectory, predict, sample_trajectory
 
 # Cap on the window-pedestrians (sum of N) of one inference group.  With
 # no tape, a forward pass peaks near 60 KB per window-pedestrian
@@ -39,14 +38,14 @@ def ade(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean L2 distance over steps and pedestrians, in meters."""
     if pred.shape != gt.shape:
         raise ConfigError(f"prediction shape {pred.shape} != ground truth {gt.shape}")
-    return float(np.linalg.norm(pred - gt, axis=-1).mean())
+    return float(_path_errors(pred, gt)[0].mean())
 
 
 def fde(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean L2 distance at the final step only."""
     if pred.shape != gt.shape:
         raise ConfigError(f"prediction shape {pred.shape} != ground truth {gt.shape}")
-    return float(np.linalg.norm(pred[-1] - gt[-1], axis=-1).mean())
+    return float(_path_errors(pred, gt)[1].mean())
 
 
 @dataclass
@@ -68,39 +67,20 @@ def _path_errors(paths: np.ndarray, gt: np.ndarray) -> tuple:
 
 
 def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
-    """``score(i, params)`` for every scene i, in scene order.
+    """``score(i, params)`` for every scene i, in scene order, through ``model.map_groups``.
 
     ``params`` is scene i's BiGaussianParams, from one tape-free forward
-    pass per equal-N group; ``jobs`` threads run whole groups.  A
-    NumericsError names the first scene of the group that fails on its own.
+    pass per equal-N group.
     """
     if not scenes:
         raise ConfigError("evaluation requires at least one scene window")
     frozen = {name: Tensor(p.data) for name, p in weights.items()}  # constants: no tape is recorded
-    groups = group_by_size([s.n_pedestrians for s in scenes], INFER_GROUP_PEDESTRIANS)
-
-    def group_params(members):
-        return predict(np.stack([s.displacements_obs for s in members]), frozen, cfg)
 
     def run(group):
-        members = [scenes[i] for i in group]
-        try:
-            params = group_params(members)
-        except NumericsError:
-            name_failing_scene(group_params, members)
-            raise
+        params = predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg)
         return [score(i, params.window(b)) for b, i in enumerate(group)]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run, groups))
-    else:
-        outputs = [run(group) for group in groups]
-    results = [None] * len(scenes)
-    for group, output in zip(groups, outputs):
-        for i, result in zip(group, output):
-            results[i] = result
-    return results
+    return map_groups(run, scenes, INFER_GROUP_PEDESTRIANS, jobs)
 
 
 def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int = 0, jobs: int = 1) -> MetricsReport:

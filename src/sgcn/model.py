@@ -6,14 +6,15 @@ reverse, and their summed features feed a stack of time-channel convs
 that maps 8 observed steps to 12 future steps of bi-variate Gaussian
 displacement parameters.  Every stage takes a single window or a group
 of windows with equal pedestrian count stacked on a leading axis (see
-graphs.py for the layouts).  Also home to weight init, grouping, sampling,
-and the checkpoint format.
+graphs.py for the layouts).  Also home to weight init, the one runner of
+grouped passes (``map_groups``), sampling, and the checkpoint format.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
@@ -122,20 +123,44 @@ def group_by_size(sizes, budget: int) -> list:
     return groups
 
 
-def name_failing_scene(run, scenes) -> None:
-    """After ``run(scenes)`` raised a NumericsError, find the scene that fails on its own.
+def map_groups(fn, scenes, budget: int, jobs: int = 1) -> list:
+    """``fn(group)`` on each equal-N group of ``scenes`` (``group_by_size``); the results in scene order.
 
-    Reruns ``run`` on each scene as a group of one and re-raises the
-    first NumericsError prefixed with ``scene NAME@frameF (N=n): ``;
-    returns if no scene fails alone.
+    ``fn`` gets a group's window indices and returns one result per index.
+    It runs inside ``autodiff.scope(deferred=True)``, so only the arrays
+    that leave the tape are checked; ``jobs`` threads take whole groups.
+    If a group raises NumericsError, its windows are rerun one at a time
+    with per-op checks on, and the first that fails alone raises its
+    error (op and stage) prefixed with ``scene NAME@frameF (N=n): ``;
+    else the group's error is re-raised.  The rerun calls the same
+    ``fn``, so windows that pass alone repeat its side effects.
     """
-    for scene in scenes:
+    def run(group):
         try:
-            run([scene])
-        except NumericsError as err:
-            raise NumericsError(
-                f"scene {scene.scene_name}@frame{scene.start_frame} (N={scene.n_pedestrians}): {err}"
-            ) from err
+            with ad.scope(deferred=True):
+                return fn(group)
+        except NumericsError:
+            for i in group:  # outside the deferred scope: per-op checks are on
+                try:
+                    fn([i])
+                except NumericsError as err:
+                    scene = scenes[i]
+                    raise NumericsError(
+                        f"scene {scene.scene_name}@frame{scene.start_frame} (N={scene.n_pedestrians}): {err}"
+                    ) from err
+            raise
+
+    groups = group_by_size([s.n_pedestrians for s in scenes], budget)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outputs = list(pool.map(run, groups))
+    else:
+        outputs = [run(group) for group in groups]
+    results = [None] * len(scenes)
+    for group, output in zip(groups, outputs):
+        for i, result in zip(group, output):
+            results[i] = result
+    return results
 
 
 def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
@@ -181,8 +206,18 @@ def tcn_head(h: Tensor, weights: dict, cfg: ModelConfig) -> Tensor:
     return ad.matmul(x, weights["out_proj_w"]) + weights["out_proj_b"]
 
 
-def _stages(displacements, weights: dict, cfg: ModelConfig):
-    """``forward``'s pass, each stage named for NumericsError messages, then the head-output check."""
+def forward(displacements, weights: dict, cfg: ModelConfig):
+    """Full pass: observed displacements [..., T_obs, N, 2] -> raw head output [..., T_pred, N, 5].
+
+    The leading axis, if any, stacks windows of equal N; each window's
+    output is bit-identical to its own single-window pass.
+
+    Every primitive checks its output unless ``map_groups`` defers the
+    checks; the head output and the two graphs' gate features (in
+    ``sparsify``) leave the tape and are checked either way.
+
+    Returns (raw, spatial SparseAdjacency, temporal SparseAdjacency).
+    """
     with ad.scope(stage="spatial_graph"):
         spa, h0_spa = build_spatial_graph(displacements, weights, cfg)
     with ad.scope(stage="temporal_graph"):
@@ -195,29 +230,6 @@ def _stages(displacements, weights: dict, cfg: ModelConfig):
         raw = tcn_head(fused, weights, cfg)
     ad._check_finite(raw.data, "tcn_head")
     return raw, spa, tmp
-
-
-def forward(displacements, weights: dict, cfg: ModelConfig):
-    """Full pass: observed displacements [..., T_obs, N, 2] -> raw head output [..., T_pred, N, 5].
-
-    The leading axis, if any, stacks windows of equal N; each window's
-    output is bit-identical to its own single-window pass.
-
-    Per-op finiteness checks are deferred: only the arrays that leave
-    the tape are checked, the head output and the two graphs' gate
-    features (in ``sparsify``).  If one is not finite, the pass is rerun
-    with per-op checks on, so the NumericsError names the first
-    non-finite op and its stage.
-
-    Returns (raw, spatial SparseAdjacency, temporal SparseAdjacency).
-    """
-    try:
-        with ad.scope(deferred=True):
-            return _stages(displacements, weights, cfg)
-    except NumericsError:
-        with ad.scope(deferred=False):
-            _stages(displacements, weights, cfg)
-        raise
 
 
 def to_gaussian(raw) -> BiGaussianParams:
@@ -302,23 +314,29 @@ def load_checkpoint(path) -> tuple:
     if magic[1] != str(CHECKPOINT_VERSION):
         raise CheckpointError(f"{path}: unsupported version {magic[1]!r} (supported: {CHECKPOINT_VERSION})")
 
+    kinds = get_type_hints(ModelConfig)
     fields: dict = {}
     shapes: dict = {}
-    for line in header_lines[1:]:
+    for number, line in enumerate(header_lines[1:], start=2):
+        where = f"{path}: header line {number}"
+        key, eq, value = line.partition("=")
         if line.startswith("param "):
             try:
                 _, name, *dims = line.split()
                 shape = tuple(int(d) for d in dims)
             except ValueError:
-                raise CheckpointError(f"{path}: malformed shape line {line!r}") from None
+                raise CheckpointError(f"{where}: malformed shape line {line!r}") from None
             if name in shapes:
-                raise CheckpointError(f"{path}: parameter {name} listed twice in shape table")
+                raise CheckpointError(f"{where}: parameter {name} listed twice in shape table")
             shapes[name] = shape
-        elif "=" in line:
-            key, _, value = line.partition("=")
+        elif eq and key in kinds:
+            if key in fields:
+                raise CheckpointError(f"{where}: config field {key} given twice")
             fields[key] = value
+        else:
+            raise CheckpointError(f"{where}: {line!r} is neither a config field nor a param line")
     try:
-        cfg = ModelConfig(**{key: kind(fields[key]) for key, kind in get_type_hints(ModelConfig).items()})
+        cfg = ModelConfig(**{key: kind(fields[key]) for key, kind in kinds.items()})
     except KeyError as err:
         raise CheckpointError(f"{path}: header missing config field {err}") from None
     except (ValueError, ConfigError) as err:

@@ -1,12 +1,12 @@
 """Negative-log-likelihood training with Adam and stepped lr decay.
 
 Scenes have variable pedestrian counts, so a "batch" is a gradient
-accumulation window: its scenes are split into groups of equal
-pedestrian count, each group runs one forward and one backward pass,
-accumulated gradients are averaged over the window, and Adam steps once
-per window.  The objective per scene is the bi-variate Gaussian NLL of
-the ground-truth future displacements, summed over future steps and
-averaged over pedestrians.
+accumulation window: ``model.map_groups`` splits its scenes into groups
+of equal pedestrian count, each group runs one forward and one backward
+pass, accumulated gradients are averaged over the window, and Adam steps
+once per window.  The objective per scene is the bi-variate Gaussian
+NLL of the ground-truth future displacements, summed over future steps
+and averaged over pedestrians.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
-from .errors import ConfigError, NumericsError
-from .model import forward, group_by_size, init_weights, name_failing_scene, save_checkpoint, zero_grads
+from .errors import ConfigError
+from .model import forward, init_weights, map_groups, save_checkpoint, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -109,24 +109,13 @@ def write_loss_log(rows, path) -> None:
 
 
 def group_loss(scenes, weights: dict, model_cfg: ModelConfig) -> Tensor:
-    """Losses [B] of equal-N scenes from one forward pass; each equals its group-of-one loss bit for bit."""
-    raw, _, _ = forward(np.stack([s.displacements_obs for s in scenes]), weights, model_cfg)
-    with ad.scope(stage="loss"):
-        return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
+    """Losses [B] of equal-N scenes from one forward pass; each equals its group-of-one loss bit for bit.
 
-
-def _backward_group(scenes, weights: dict, model_cfg: ModelConfig) -> np.ndarray:
-    """Accumulate the gradient of the summed group loss; returns the per-scene losses.
-
-    A NumericsError names the first scene of the group that fails on its own.
+    The loss checks every primitive, so a non-finite loss never reaches ``backward`` or Adam.
     """
-    try:
-        losses = group_loss(scenes, weights, model_cfg)
-        ad.backward(ad.tsum(losses))
-    except NumericsError:
-        name_failing_scene(lambda one: group_loss(one, weights, model_cfg), scenes)
-        raise
-    return losses.data
+    raw, _, _ = forward(np.stack([s.displacements_obs for s in scenes]), weights, model_cfg)
+    with ad.scope(deferred=False, stage="loss"):
+        return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
 
 
 def train(
@@ -141,7 +130,9 @@ def train(
 
     Loss rows are (epoch, optimizer_step, mean window NLL, lr).  When
     paths are given, a checkpoint is rewritten after every epoch and the
-    loss log at the end, both usable mid-run.
+    loss log at the end, both usable mid-run.  A NumericsError names the
+    window that fails alone (``model.map_groups``); windows rerun before
+    it also run ``backward``, which is harmless, as the run aborts.
     """
     if not train_scenes:
         raise ConfigError("training requires at least one scene window")
@@ -158,9 +149,14 @@ def train(
         order = order_rng.permutation(len(train_scenes))
         for start in range(0, len(order), train_cfg.batch_size):  # the last window may be short
             window = [train_scenes[int(i)] for i in order[start : start + train_cfg.batch_size]]
-            losses = np.empty(len(window))  # permutation order: the row mean ignores the grouping
-            for group in group_by_size([s.n_pedestrians for s in window], TRAIN_GROUP_PEDESTRIANS):
-                losses[group] = _backward_group([window[i] for i in group], weights, model_cfg)
+
+            def backward_group(group):
+                losses = group_loss([window[i] for i in group], weights, model_cfg)
+                ad.backward(ad.tsum(losses))
+                return losses.data
+
+            # permutation order: the row mean ignores the grouping
+            losses = map_groups(backward_group, window, TRAIN_GROUP_PEDESTRIANS)
             optimizer.step(weights, lr, grad_scale=1.0 / len(window))
             rows.append((epoch, len(rows) + 1, float(np.mean(losses)), lr))
             zero_grads(weights)

@@ -132,10 +132,22 @@ class TestTrainCommand:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (out / "checkpoint.ckpt").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--batch-size", "0"), ("--holdout", "NOPE")])
-    def test_rejected_run_creates_no_directory(self, fixture_root, tmp_path, flag, value):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train", "--holdout", "SHORT", "--epochs", "0"], id="--epochs-0"),
+        pytest.param(["train", "--holdout", "SHORT", "--batch-size", "0"], id="--batch-size-0"),
+        pytest.param(["train", "--holdout", "NOPE"], id="--holdout-NOPE"),
+        pytest.param(["train", "--holdout", "FIX1"], id="train-without-training-window"),
+        pytest.param(["eval", "--holdout", "FIX1", "--num-samples", "0"], id="eval---num-samples-0"),
+        pytest.param(["eval", "--holdout", "SHORT"], id="eval-without-holdout-window"),
+    ])
+    def test_rejected_run_creates_no_directory(self, overfit_run, tmp_path, argv):
+        # FIX1 holds one window; SHORT's 5 frames hold none
+        root = tmp_path / "data"
+        root.mkdir()
+        (root / "fix1.txt").write_bytes((overfit_run.data_root / "fix1.txt").read_bytes())
+        write_trajectory_file(root / "short.txt", fixture_positions([[0.3, 0.0]], [[0.0, 0.0]], 1, steps=5))
         out = tmp_path / "run"
-        code = run_cli(["train", "--data-root", fixture_root, "--holdout", "DUMMY", flag, value, "--out", out])
+        code = run_cli(argv + ["--data-root", root, "--checkpoint", overfit_run.checkpoint, "--out", out])
         assert code == 2
         assert not out.exists()
 
@@ -428,6 +440,20 @@ class TestPredictCommand:
         ])
         assert code == 2
         assert "bad.txt:2: byte 0xff is not" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "dump-graphs"])
+    def test_attention_overflow_names_scene_op_and_stage(self, command, overfit_run, tmp_path, capsys):
+        scene = tmp_path / "overflow.txt"
+        scene.write_text("".join(f"{t} {pid} {0.0 if t % 2 == 0 else 1e300!r} {float(pid)!r}\n"
+                                 for t in range(8) for pid in (1, 2)))
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli([command, "--checkpoint", overfit_run.checkpoint, "--scene-file", scene, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: scene OVERFLOW@frame0 (N=2): non-finite values produced by 'matmul' in stage 'spatial_graph'\n"
+        )
+        assert not out.exists()
 
     def test_short_file_errors_with_path(self, overfit_run, tmp_path, capsys):
         short = tmp_path / "short.txt"

@@ -1,4 +1,6 @@
-"""Aggregation branches, prediction head, sampling, and checkpoints."""
+"""Aggregation branches, prediction head, the grouped-pass runner, sampling, and checkpoints."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sgcn import graphs as gg
 from sgcn import model as mm
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig
+from sgcn.data import TrajectoryScene
 from sgcn.errors import CheckpointError, NumericsError, ShapeError
 
 
@@ -18,6 +21,16 @@ def small_cfg(**kw):
     base = dict(t_obs=4, t_pred=3, embed_dim=16, conv_layers=2)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def observed_windows(sizes, seed, t_obs=4):
+    """Observation-only windows with the given pedestrian counts; window i starts at frame i."""
+    rng = np.random.default_rng(seed)
+    return [
+        TrajectoryScene(tuple(range(n)), np.cumsum(rng.normal(scale=0.4, size=(t_obs, n, 2)), axis=0),
+                        np.zeros((0, n, 2)), start_frame=i, scene_name="S")
+        for i, n in enumerate(sizes)
+    ]
 
 
 def prelu_np(x, slope):
@@ -150,6 +163,50 @@ def test_group_by_size_fills_groups_in_order():
     assert mm.group_by_size([2, 3, 2, 2, 50, 3, 2, 50], 4) == [[0, 2], [1], [3, 6], [4], [5], [7]]
 
 
+@given(st.lists(st.integers(1, 6), max_size=30), st.integers(1, 20), st.sampled_from([1, 2]))
+@settings(max_examples=100, deadline=None)
+def test_map_groups_returns_the_per_window_loop_in_scene_order(sizes, budget, jobs):
+    scenes = observed_windows(sizes, seed=len(sizes))
+    deferred = []
+
+    def fn(group):
+        deferred.append(ad._state.deferred)
+        stacked = np.stack([scenes[i].displacements_obs for i in group])  # equal N, or this raises
+        return [(i, stacked[b].tobytes()) for b, i in enumerate(group)]
+
+    got = mm.map_groups(fn, scenes, budget, jobs)
+    assert deferred == [True] * len(mm.group_by_size(sizes, budget))
+    assert not ad._state.deferred
+    assert got == [fn([i])[0] for i in range(len(scenes))]
+
+
+def test_nan_window_in_a_later_group_is_named_with_two_threads():
+    cfg = small_cfg()
+    weights = mm.init_weights(cfg, seed=3)
+    scenes = observed_windows([2, 3, 2, 3, 4, 4], seed=5)
+    scenes[5] = replace(scenes[5], positions_obs=np.full_like(scenes[5].positions_obs, np.nan), scene_name="BAD")
+    assert mm.group_by_size([s.n_pedestrians for s in scenes], 8) == [[0, 2], [1, 3], [4, 5]]
+
+    def fn(group):
+        params = mm.predict(np.stack([scenes[i].displacements_obs for i in group]), weights, cfg)
+        return [params.window(b) for b in range(len(group))]
+
+    with pytest.raises(NumericsError, match=(
+        r"^scene BAD@frame5 \(N=4\): non-finite values produced by 'tensor' in stage 'spatial_graph'$"
+    )):
+        mm.map_groups(fn, scenes, 8, jobs=2)
+
+
+def test_group_error_is_reraised_when_no_window_fails_alone():
+    def fn(group):
+        if len(group) > 1:
+            raise NumericsError("only together")
+        return group
+
+    with pytest.raises(NumericsError, match="^only together$"):
+        mm.map_groups(fn, observed_windows([2, 2], seed=1), 4)
+
+
 class TestTcnHead:
     def test_zero_weights_give_standard_gaussian(self):
         cfg = small_cfg()
@@ -249,23 +306,34 @@ class TestForward:
 
 
 class TestFiniteExits:
-    """forward defers per-op checks and checks only the arrays that leave the tape."""
+    """Passes run by map_groups defer per-op checks and check only the arrays that leave the tape."""
 
     def test_one_pass_makes_three_checks(self, monkeypatch):
-        # the head output and the two graphs' gate features
+        # the head output and the two graphs' gate features, in a pass run
+        # through map_groups, which defers the per-op checks
         cfg = ModelConfig()
         w = mm.init_weights(cfg, seed=8)
-        disp = np.random.default_rng(18).normal(scale=0.4, size=(2, 8, 3, 2))
-        checked = []
+        scenes = observed_windows([3, 3], seed=18, t_obs=cfg.t_obs)
+        checked, groups = [], []
         check = ad._check_finite
 
         def spy(data, op):
             checked.append(op)
             check(data, op)
 
+        def one_pass(group):
+            groups.append(group)
+            mm.forward(np.stack([scenes[i].displacements_obs for i in group]), w, cfg)
+            return group
+
         monkeypatch.setattr(ad, "_check_finite", spy)
-        mm.forward(disp, w, cfg)
+        mm.map_groups(one_pass, scenes, 6)
+        assert groups == [[0, 1]]
         assert sorted(checked) == ["gate features", "gate features", "tcn_head"]
+        # outside the runner, every primitive checks its output
+        checked.clear()
+        mm.forward(scenes[0].displacements_obs, w, cfg)
+        assert len(checked) > 100
 
     @pytest.mark.parametrize("param, op, stage", [
         ("spa_conv6_col_b", "conv2d", "spatial_graph"),
@@ -379,6 +447,9 @@ class TestCheckpoint:
         (b"xi=0.5\n", b"xi=zz\n", "zz"),
         (b"param out_proj_b 5\n", b"param out_proj_b x\n", "out_proj_b x"),
         (b"t_obs=4\n", b"t_obs=0\n", "t_obs must be >= 1"),
+        (b"xi=0.5\n", b"xi=0.9\nxi=0.5\n", "header line 9: config field xi given twice"),
+        (b"xi=0.5\n", b"xi=0.5\nbogus=1\n", "header line 9: 'bogus=1' is neither a config field nor a param line"),
+        (b"xi=0.5\n", b"xi=0.5\nstray\n", "header line 9: 'stray' is neither a config field nor a param line"),
     ])
     def test_malformed_header_value_names_file(self, tmp_path, old, new, match):
         cfg = small_cfg()
