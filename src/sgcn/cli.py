@@ -11,6 +11,7 @@ resolved.cfg`` reproduces it.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -44,7 +45,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="sgcn",
         description="Sparse-graph trajectory predictor: training, evaluation, and inspection.",
@@ -186,31 +189,36 @@ def cmd_predict(run: RunConfig, explicit: set) -> int:
     scene = _load_scene_input(run, cfg.t_obs)
     [params] = map_groups(lambda _: [predict(scene.displacements_obs, weights, cfg)], [scene], scene.n_pedestrians)
     out = _prepare_out(run, cfg)
-    ids, obs = scene.pedestrian_ids, scene.positions_obs
-    last = obs[-1]
-    mu_path = mu_trajectory(params, last)
+    last = scene.positions_obs[-1]
     samples = sample_trajectory(params, last, np.random.default_rng(run.seed), run.num_samples)
-
-    def xy(arr, t, ni):
-        return f"{float(arr[t, ni, 0])!r},{float(arr[t, ni, 1])!r}"
-
-    lines = ["ped_id,kind,sample,step,x,y,sigma_x,sigma_y,rho"]
-    for ni, pid in enumerate(ids):
-        for t in range(cfg.t_obs):
-            lines.append(f"{pid},obs,,{t},{xy(obs, t, ni)},,,")
-        for t in range(cfg.t_pred):
-            lines.append(
-                f"{pid},mu,,{t},{xy(mu_path, t, ni)},"
-                f"{float(params.sigma[t, ni, 0])!r},{float(params.sigma[t, ni, 1])!r},"
-                f"{float(params.rho[t, ni])!r}"
-            )
-        for s, sample in enumerate(samples, start=1):
-            for t in range(cfg.t_pred):
-                lines.append(f"{pid},sample,{s},{t},{xy(sample, t, ni)},,,")
     path = out / "predictions.csv"
-    path.write_text("\n".join(lines) + "\n")
-    print(f"predictions: {path} ({len(ids)} pedestrians, {run.num_samples} samples)")
+    path.write_text(predictions_text(scene.pedestrian_ids, scene.positions_obs, mu_trajectory(params, last),
+                                     params, samples))
+    print(f"predictions: {path} ({scene.n_pedestrians} pedestrians, {run.num_samples} samples)")
     return 0
+
+
+def predictions_text(ids, obs, mu_path, params, samples) -> str:
+    """``predictions.csv``: per pedestrian, obs steps, mu steps (with the Gaussian), then each sample's steps.
+
+    ``obs`` is [T_obs, N, 2], ``mu_path`` [T_pred, N, 2] and ``samples``
+    [K, T_pred, N, 2].  One row template serves every pedestrian: its id
+    is spliced in, then one ``%`` fills the ``%r`` cells from a
+    ``tolist()`` of that pedestrian's values, so each float reads as its
+    ``repr``.
+    """
+    k, t_pred, n, _ = samples.shape
+    rows = [f",obs,,{t},%r,%r,,," for t in range(len(obs))]
+    rows += [f",mu,,{t},%r,%r,%r,%r,%r" for t in range(t_pred)]
+    rows += [f",sample,{s},{t},%r,%r,,," for s in range(1, k + 1) for t in range(t_pred)]
+    pieces = [""] + [row + "\n" for row in rows]  # joined by an id, each row starts with it
+    mu = np.concatenate([mu_path, params.sigma, params.rho[..., None]], axis=-1)  # x, y, sigma_x, sigma_y, rho
+    parts = [obs.transpose(1, 0, 2), mu.transpose(1, 0, 2), samples.transpose(2, 0, 1, 3)]
+    values = np.concatenate([part.reshape(n, -1) for part in parts], axis=1)  # one row per pedestrian
+    chunks = ["ped_id,kind,sample,step,x,y,sigma_x,sigma_y,rho\n"]
+    for pid, row in zip(ids, values):
+        chunks.append(str(pid).join(pieces) % tuple(row.tolist()))
+    return "".join(chunks)
 
 
 def cmd_dump_graphs(run: RunConfig, explicit: set) -> int:
@@ -223,7 +231,7 @@ def cmd_dump_graphs(run: RunConfig, explicit: set) -> int:
     ids = scene.pedestrian_ids
 
     def matrix_lines(m: np.ndarray):
-        return [" ".join(repr(float(v)) for v in row) for row in m]
+        return [" ".join(map(repr, row)) for row in m.tolist()]
 
     lines = [f"# pedestrians: {' '.join(str(p) for p in ids)}"]
     for t in range(cfg.t_obs):

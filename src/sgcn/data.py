@@ -140,6 +140,13 @@ def _read_lines(path: Path, order: tuple) -> tuple:
     return np.asarray(frames, dtype=np.int64), np.asarray(ped_ids, dtype=np.int64), xy
 
 
+def _record_lines(path: Path, records: list) -> list:
+    """File line numbers of ``records``, indices among the non-blank lines, which both readers read as rows."""
+    with open(path, errors="surrogateescape") as fh:
+        rows = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
+    return [rows[r] for r in records]
+
+
 def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTable:
     """Parse one scene file into a table named by its upper-cased stem; errors carry line numbers.
 
@@ -156,7 +163,11 @@ def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTab
 
     repeated = (frames[1:] == frames[:-1]) & (ped_ids[1:] == ped_ids[:-1])
     if repeated.any():
-        raise DataError(f"{path}: duplicate (frame, pedestrian) observation near row {np.argmax(repeated) + 1}")
+        i = int(np.argmax(repeated))
+        first, again = _record_lines(path, order_idx[i:i + 2].tolist())  # the stable sort keeps file order
+        raise DataError(
+            f"{path}:{again}: duplicate (frame, pedestrian) observation ({frames[i]}, {ped_ids[i]}) of line {first}"
+        )
 
     return RawTrajectoryTable(name=path.stem.upper(), frames=frames, ped_ids=ped_ids, xy=xy)
 

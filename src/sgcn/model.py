@@ -12,6 +12,8 @@ grouped passes (``map_groups``), sampling, and the checkpoint format.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +31,7 @@ from .graphs import build_spatial_graph, build_temporal_graph, pedestrian_major,
 
 CHECKPOINT_MAGIC = "SGCNCKPT"
 CHECKPOINT_VERSION = 1
+_CONFIG_KINDS = get_type_hints(ModelConfig)  # checkpoint header field -> type
 
 
 @dataclass
@@ -314,7 +317,6 @@ def load_checkpoint(path) -> tuple:
     if magic[1] != str(CHECKPOINT_VERSION):
         raise CheckpointError(f"{path}: unsupported version {magic[1]!r} (supported: {CHECKPOINT_VERSION})")
 
-    kinds = get_type_hints(ModelConfig)
     fields: dict = {}
     shapes: dict = {}
     for number, line in enumerate(header_lines[1:], start=2):
@@ -329,14 +331,14 @@ def load_checkpoint(path) -> tuple:
             if name in shapes:
                 raise CheckpointError(f"{where}: parameter {name} listed twice in shape table")
             shapes[name] = shape
-        elif eq and key in kinds:
+        elif eq and key in _CONFIG_KINDS:
             if key in fields:
                 raise CheckpointError(f"{where}: config field {key} given twice")
             fields[key] = value
         else:
             raise CheckpointError(f"{where}: {line!r} is neither a config field nor a param line")
     try:
-        cfg = ModelConfig(**{key: kind(fields[key]) for key, kind in kinds.items()})
+        cfg = ModelConfig(**{key: kind(fields[key]) for key, kind in _CONFIG_KINDS.items()})
     except KeyError as err:
         raise CheckpointError(f"{path}: header missing config field {err}") from None
     except (ValueError, ConfigError) as err:
@@ -354,19 +356,19 @@ def load_checkpoint(path) -> tuple:
         extra = set(shapes) - {n for n, _ in expected_shapes}
         raise CheckpointError(f"{path}: unexpected parameters {sorted(extra)}")
 
-    payload = blob[len(head) + len(b"\nEND\n"):]
-    total = sum(math.prod(shape) for shape in shapes.values())
-    if len(payload) != total * 8:
-        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {total * 8}")
+    payload = memoryview(blob)[len(head) + len(b"\nEND\n"):]
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    ends = list(itertools.accumulate(sizes))
+    if len(payload) != ends[-1] * 8:
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {ends[-1] * 8}")
 
-    weights = {}
-    offset = 0
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        try:
-            weights[name] = Tensor(flat.reshape(shape).copy())
-        except NumericsError:
-            raise CheckpointError(f"{path}: parameter {name} holds non-finite values") from None
-        offset += count * 8
-    return weights, cfg
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # one native array; parameters are views of it
+    finite = np.isfinite(flat)
+    if not finite.all():
+        name = list(shapes)[bisect.bisect_right(ends, int(np.argmin(finite)))]
+        raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
+    with ad.scope(deferred=True):  # checked above, in one pass
+        return {
+            name: Tensor(flat[end - size:end].reshape(shape))
+            for (name, shape), size, end in zip(shapes.items(), sizes, ends)
+        }, cfg

@@ -47,13 +47,14 @@ def fixture_positions(velocities, origins, seed, jitter=FIXTURE_JITTER, steps=20
     return pos + rng.normal(scale=jitter, size=pos.shape)
 
 
-def write_trajectory_file(path, positions, frame_step=FIXTURE_FRAME_STEP):
-    """Write [T, N, 2] positions as `frame id x y` rows, ids 1..N."""
+def write_trajectory_file(path, positions, frame_step=FIXTURE_FRAME_STEP, ids=None):
+    """Write [T, N, 2] positions as `frame id x y` rows, ids 1..N unless given."""
+    ids = range(1, positions.shape[1] + 1) if ids is None else ids
     lines = []
     for t in range(positions.shape[0]):
-        for n in range(positions.shape[1]):
+        for n, pid in enumerate(ids):
             x, y = float(positions[t, n, 0]), float(positions[t, n, 1])
-            lines.append(f"{t * frame_step} {n + 1} {x!r} {y!r}")
+            lines.append(f"{t * frame_step} {pid} {x!r} {y!r}")
     path.write_text("\n".join(lines) + "\n")
 
 

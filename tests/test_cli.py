@@ -3,11 +3,14 @@
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgcn
 from sgcn import cli
@@ -24,6 +27,51 @@ from conftest import fixture_positions, write_trajectory_file
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def per_scalar_predictions_text(ids, obs, mu_path, params, samples) -> str:
+    """``predictions.csv`` as the writer first built it: one row and one ``repr(float(...))`` at a time."""
+    def xy(arr, t, ni):
+        return f"{float(arr[t, ni, 0])!r},{float(arr[t, ni, 1])!r}"
+
+    lines = ["ped_id,kind,sample,step,x,y,sigma_x,sigma_y,rho"]
+    for ni, pid in enumerate(ids):
+        for t in range(obs.shape[0]):
+            lines.append(f"{pid},obs,,{t},{xy(obs, t, ni)},,,")
+        for t in range(mu_path.shape[0]):
+            lines.append(
+                f"{pid},mu,,{t},{xy(mu_path, t, ni)},"
+                f"{float(params.sigma[t, ni, 0])!r},{float(params.sigma[t, ni, 1])!r},"
+                f"{float(params.rho[t, ni])!r}"
+            )
+        for s, sample in enumerate(samples, start=1):
+            for t in range(mu_path.shape[0]):
+                lines.append(f"{pid},sample,{s},{t},{xy(sample, t, ni)},,,")
+    return "\n".join(lines) + "\n"
+
+
+def per_scalar_graphs_text(ids, spatial, temporal) -> str:
+    """``graphs.txt`` as the dump first built it: one ``repr(float(v))`` per matrix entry."""
+    def matrix_lines(m):
+        return [" ".join(repr(float(v)) for v in row) for row in m]
+
+    lines = [f"# pedestrians: {' '.join(str(p) for p in ids)}"]
+    for t in range(spatial.shape[0]):
+        lines.append(f"# spatial step {t}")
+        lines.extend(matrix_lines(spatial[t]))
+    for ni, pid in enumerate(ids):
+        lines.append(f"# temporal pedestrian {pid}")
+        lines.extend(matrix_lines(temporal[ni]))
+    return "\n".join(lines) + "\n"
+
+
+# ids at and beyond float64's exact range and at the int64 limits, plus any other int64
+EDGE_IDS = [0, -1, -7, 2**53, 2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63 - 1)]
+PED_IDS = st.one_of(st.sampled_from(EDGE_IDS), st.integers(-(2**63 - 1), 2**63 - 1))
+# N from 1 to 50: drawn first, so large N is not left to how Hypothesis sizes lists
+ID_LISTS = st.integers(1, 50).flatmap(lambda n: st.lists(PED_IDS, min_size=n, max_size=n, unique=True))
+# floats whose repr changes form: signed zero, exponent notation both ways, subnormal, largest finite
+REPR_EDGES = [-0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
 class TestConfigResolution:
@@ -85,6 +133,22 @@ class TestConfigResolution:
         assert run_cli([command, "--jobs", jobs, "--out", out]) == 2
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, overfit_run, tmp_path):
+        # the first call's --xi must not leak into the second through the shared parser
+        first, second = tmp_path / "first", tmp_path / "second"
+        for out, extra in ((first, ["--xi", "0.3"]), (second, [])):
+            assert run_cli([
+                "predict", "--checkpoint", overfit_run.checkpoint,
+                "--scene-file", overfit_run.data_root / "fix1.txt", "--out", out, *extra,
+            ]) == 0
+        assert read_config_file(first / "resolved.cfg")["xi"] == "0.3"
+        assert read_config_file(second / "resolved.cfg")["xi"] == repr(overfit_run.model_cfg.xi)
 
 
 class TestTrainCommand:
@@ -519,6 +583,51 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert "dropped pedestrians" in err and "[1, 2]" in err
 
+    @given(
+        st.integers(1, 10), st.integers(1, 14), st.integers(0, 25), ID_LISTS, st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 2**20), min_size=len(REPR_EDGES), max_size=len(REPR_EDGES)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_writer_matches_per_scalar_rows(self, t_obs, t_pred, k, ids, seed, edge_at):
+        n = len(ids)
+        rng = np.random.default_rng(seed)
+        sizes = [t_obs * n * 2, t_pred * n * 2, t_pred * n * 2, t_pred * n, k * t_pred * n * 2]
+        flat = rng.standard_normal(sum(sizes)) * 10.0 ** rng.integers(-30, 30, sum(sizes))
+        for at, value in zip(edge_at, REPR_EDGES):  # every form of repr in every case
+            flat[at % len(flat)] = value
+        obs, mu_path, sigma, rho, samples = np.split(flat, np.cumsum(sizes)[:-1])
+        params = sgcn_model.BiGaussianParams(
+            np.zeros((t_pred, n, 2)), sigma.reshape(t_pred, n, 2), rho.reshape(t_pred, n))
+        args = (tuple(ids), obs.reshape(t_obs, n, 2), mu_path.reshape(t_pred, n, 2), params,
+                samples.reshape(k, t_pred, n, 2))
+        assert cli.predictions_text(*args) == per_scalar_predictions_text(*args)
+
+    @given(st.integers(1, 9), st.integers(1, 13), st.integers(0, 25), ID_LISTS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_predictions_csv_matches_per_scalar_rows(self, t_obs, t_pred, k, ids, seed):
+        # t_obs and t_pred come from the checkpoint's config, not the defaults
+        cfg = ModelConfig(t_obs=t_obs, t_pred=t_pred, embed_dim=8, conv_layers=2, tcn_layers=2)
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(-20, 20, (1, len(ids), 2)) + np.cumsum(rng.normal(0, 0.4, (t_obs, len(ids), 2)), 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_checkpoint(tmp / "m.ckpt", init_weights(cfg, seed=seed % 97), cfg)
+            write_trajectory_file(tmp / "scene.txt", positions, ids=ids)
+            assert run_cli([
+                "predict", "--checkpoint", tmp / "m.ckpt", "--scene-file", tmp / "scene.txt",
+                "--num-samples", k, "--seed", seed, "--out", tmp / "o",
+            ]) == 0
+            weights, loaded = load_checkpoint(tmp / "m.ckpt")
+            assert loaded == cfg
+            scene, _ = sgcn_data.last_observation(sgcn_data.load_scene_file(tmp / "scene.txt"), t_obs, "scene")
+            params = sgcn_model.predict(scene.displacements_obs, weights, cfg)
+            last = scene.positions_obs[-1]
+            samples = sgcn_model.sample_trajectory(params, last, np.random.default_rng(seed), k)
+            expected = per_scalar_predictions_text(
+                scene.pedestrian_ids, scene.positions_obs, sgcn_model.mu_trajectory(params, last), params, samples)
+            assert (tmp / "o" / "predictions.csv").read_text() == expected
+            assert sorted(ids) == list(scene.pedestrian_ids)
+
 
 class TestDumpGraphsCommand:
     def test_block_layout_and_triangular_zeros(self, overfit_run, tmp_path):
@@ -576,6 +685,22 @@ class TestDumpGraphsCommand:
             rows = [r.split() for r in block.strip().splitlines()[1:]]
             asym.append(float(rows[0][1]) != float(rows[1][0]))
         assert any(asym)
+
+    @pytest.mark.parametrize("n", [1, 3, 45])
+    def test_graphs_txt_matches_per_scalar_entries(self, overfit_run, tmp_path, n):
+        rng = np.random.default_rng(n)
+        ids = sorted(rng.choice(2**62, n, replace=False).tolist())
+        positions = rng.uniform(-10, 10, (1, n, 2)) + np.cumsum(rng.normal(0, 0.4, (8, n, 2)), 0)
+        write_trajectory_file(tmp_path / "scene.txt", positions, ids=ids)
+        assert run_cli([
+            "dump-graphs", "--checkpoint", overfit_run.checkpoint,
+            "--scene-file", tmp_path / "scene.txt", "--out", tmp_path / "o",
+        ]) == 0
+        weights, cfg = load_checkpoint(overfit_run.checkpoint)
+        scene, _ = sgcn_data.last_observation(sgcn_data.load_scene_file(tmp_path / "scene.txt"), cfg.t_obs, "scene")
+        _, spatial, temporal = sgcn_model.forward(scene.displacements_obs, weights, cfg)
+        expected = per_scalar_graphs_text(ids, spatial.normalized.data, temporal.normalized.data)
+        assert (tmp_path / "o" / "graphs.txt").read_text() == expected
 
 
 def test_console_script_entry_point(tmp_path):

@@ -95,7 +95,14 @@ class TestLoadSceneFile:
 
     def test_duplicate_pair_with_negative_id_rejected(self, tmp_path):
         p = write_lines(tmp_path / "dup.txt", ["0 5 1.0 1.0", "1 -1 2.0 2.0", "1 -1 3.0 3.0"])
-        with pytest.raises(DataError, match="duplicate .* near row 2"):
+        with pytest.raises(DataError, match=r"dup.txt:3: duplicate .* \(1, -1\) of line 2"):
+            dd.load_scene_file(p)
+
+    @pytest.mark.parametrize("frame", ["10", "9007199254740993"], ids=["one_pass_reader", "per_line_reader"])
+    def test_duplicate_pair_names_both_file_lines(self, tmp_path, frame):
+        # sorted, the pair sits at rows 1 and 2; in the file, blank lines apart, at lines 1 and 5
+        p = write_lines(tmp_path / "dup.txt", [f"{frame} 1 0 0", "", "0 2 1 1", " \t", f"{frame} 1 2 2"])
+        with pytest.raises(DataError, match=rf"dup.txt:5: duplicate .* \({frame}, 1\) of line 1$"):
             dd.load_scene_file(p)
 
     def test_ids_beyond_float_precision_stay_exact(self, tmp_path):

@@ -523,6 +523,34 @@ class TestCheckpoint:
             mm.load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("element", [0, -1], ids=["first_element", "last_element"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_first_non_finite_parameter_named(self, tmp_path, where, element, value):
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=16)
+        names = sorted(w)  # the payload's order
+        name = names[{"first": 0, "middle": len(names) // 2, "last": -1}[where]]
+        w[name].data.reshape(-1)[element] = value
+        w[names[-1]].data.reshape(-1)[-1] = np.nan  # a later non-finite parameter is not the one named
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, w, cfg)
+        with pytest.raises(CheckpointError) as info:
+            mm.load_checkpoint(path)
+        assert str(info.value) == f"{path}: parameter {name} holds non-finite values"
+
+    def test_loaded_parameters_do_not_overlap(self, tmp_path):
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=17), cfg)
+        loaded, _ = mm.load_checkpoint(path)
+        for tensor in loaded.values():
+            tensor.data += 1.0  # in place: a shared element would move twice
+        fresh, _ = mm.load_checkpoint(path)
+        for name, tensor in loaded.items():
+            assert np.array_equal(tensor.data, fresh[name].data + 1.0), name
+            assert tensor.data.flags.writeable and tensor.data.shape == fresh[name].shape
+
     def test_truncations_and_byte_flips_load_or_name_file(self, tmp_path):
         # A bare ValueError, KeyError, IndexError or UnicodeDecodeError escapes and fails the test.
         cfg = small_cfg()
