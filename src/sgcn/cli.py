@@ -39,7 +39,6 @@ _FLAGS = {
     "xi": "graph sparsity threshold in [0, 1]",
     "seed": None, "num_samples": None,
     "out": "output directory for artifacts",
-    "jobs": "evaluation worker threads; each runs whole groups of equal-N windows",
     "checkpoint": "model checkpoint path",
     "scene_file": "single trajectory file to run on",
 }
@@ -67,11 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, text: str):
-    kind = _KEY_TYPES[key]
-    if kind is tuple:
-        return tuple(s for s in (part.strip() for part in text.split(",")) if s)
     try:
-        return kind(text)
+        return _KEY_TYPES[key](text)
     except ValueError as err:
         raise ConfigError(f"config key {key}: {err}") from err
 
@@ -104,17 +100,11 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
     return RunConfig(**values), explicit
 
 
-def _echo_config(run: RunConfig, out: Path) -> None:
-    values = run.as_dict()
-    values["scenes"] = ",".join(run.scenes)
-    write_config_file(out / "resolved.cfg", values)
-
-
 def _prepare_out(run: RunConfig, cfg: ModelConfig) -> Path:
     """Create the output directory; the echo carries the xi the run used."""
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(replace(run, xi=cfg.xi), out)
+    write_config_file(out / "resolved.cfg", replace(run, xi=cfg.xi).as_dict())
     return out
 
 
@@ -126,13 +116,7 @@ def _require(value: str, what: str) -> str:
 
 
 def _load_tables(run: RunConfig) -> dict:
-    tables = load_dataset(_require(run.data_root, "data_root"), run.field_order)
-    if run.scenes:
-        missing = [s for s in run.scenes if s not in tables]
-        if missing:
-            raise ConfigError(f"scenes {missing} not found under {run.data_root}")
-        tables = {name: tables[name] for name in run.scenes}
-    return tables
+    return load_dataset(_require(run.data_root, "data_root"), run.field_order)
 
 
 def _load_scene_input(run: RunConfig, t_obs: int):
@@ -173,7 +157,7 @@ def cmd_train(run: RunConfig, explicit: set) -> int:
 def cmd_eval(run: RunConfig, explicit: set) -> int:
     weights, cfg = _load_weights(run, explicit)
     scenes = window_scenes(holdout_table(_load_tables(run), run.holdout), cfg.t_obs, cfg.t_pred)
-    report = evaluate_best_of_k(weights, cfg, scenes, k=run.num_samples, seed=run.seed, jobs=run.jobs)
+    report = evaluate_best_of_k(weights, cfg, scenes, k=run.num_samples, seed=run.seed)
     out = _prepare_out(run, cfg)
     write_metrics_csv(report, out / "metrics.csv")
     write_summary(report, out / "summary.txt")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -64,28 +64,36 @@ class TrainConfig:
 
 
 def read_config_file(path) -> dict:
-    """Parse a flat key=value config file into a string->string dict.
+    """Parse a flat key=value utf-8 config file into a string->string dict.
 
     Blank lines and #-comments are ignored.  Values never contain '='
-    interpretation beyond the first occurrence.
+    interpretation beyond the first occurrence.  A key given twice or a
+    byte that is not utf-8 text raises a ``ConfigError`` naming the line.
     """
-    result = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    result, first_line = {}, {}
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")  # a bad byte reads as a lone surrogate
+    for lineno, line in enumerate(text.split("\n"), start=1):  # file lines: a form feed splits none
         stripped = line.strip()
+        where = f"{path}:{lineno}"
+        bad = [ord(c) - 0xDC00 for c in stripped if "\udc80" <= c <= "\udcff"]
+        if bad:
+            raise ConfigError(f"{where}: byte {bad[0]:#04x} is not utf-8 text")
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        result[key.strip()] = value.strip()
+            raise ConfigError(f"{where}: expected key=value, got {stripped!r}")
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in first_line:
+            raise ConfigError(f"{where}: key {key} given twice (first on line {first_line[key]})")
+        first_line[key] = lineno
+        result[key] = value
     return result
 
 
 def write_config_file(path, values: dict) -> None:
     """Echo a resolved configuration as sorted key=value lines."""
     lines = [f"{k}={values[k]}" for k in sorted(values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
@@ -102,17 +110,13 @@ class RunConfig:
     seed: int = TrainConfig.seed
     num_samples: int = 20
     out: str = "runs/default"
-    jobs: int = 1
     field_order: str = "frame id x y"
     checkpoint: str = ""
     scene_file: str = ""
-    scenes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take only non-negative seeds
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: config resolution, artifacts, exit codes."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -126,12 +128,20 @@ class TestConfigResolution:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval", "predict", "dump-graphs"])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_2(self, command, jobs, tmp_path, capsys):
+    def test_repeated_key_exits_2(self, fixture_root, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_root={fixture_root}\nepochs=5\n# a form\x0cfeed ends no line\nepochs=9\n")
         out = tmp_path / "o"
-        assert run_cli([command, "--jobs", jobs, "--out", out]) == 2
-        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert run_cli(["train", "--config", cfg, "--holdout", "DUMMY", "--out", out]) == 2
+        assert f"{cfg}:4: key epochs given twice (first on line 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_byte_exits_2(self, fixture_root, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"data_root={fixture_root}\n".encode() + b"holdout=\xff\n")
+        out = tmp_path / "o"
+        assert run_cli(["train", "--config", cfg, "--out", out]) == 2
+        assert f"{cfg}:2: byte 0xff is not utf-8 text" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -149,6 +159,41 @@ class TestParser:
             ]) == 0
         assert read_config_file(first / "resolved.cfg")["xi"] == "0.3"
         assert read_config_file(second / "resolved.cfg")["xi"] == repr(overfit_run.model_cfg.xi)
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        documented = set(re.findall(r"^\| `(--[a-z-]+)` \|", readme, flags=re.MULTILINE))
+        [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == {"train", "eval", "predict", "dump-graphs"}
+        for command, parser in subparsers.choices.items():
+            options = {o for action in parser._actions for o in action.option_strings} - {"-h", "--help"}
+            assert options == documented, command
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "dump-graphs"])
+    def test_fixed_point_for_every_command(self, command, overfit_run, tmp_path):
+        # resolved.cfg passed back with --config resolves to itself, apart from the new out=
+        argv = {
+            "train": ["--data-root", overfit_run.data_root, "--holdout", "DUMMY", "--epochs", "1",
+                      "--batch-size", "2", "--lr", "0.002", "--xi", "0.4", "--seed", "5"],
+            "eval": ["--checkpoint", overfit_run.checkpoint, "--data-root", overfit_run.data_root,
+                     "--holdout", "FIX1", "--num-samples", "3", "--seed", "4"],
+            "predict": ["--checkpoint", overfit_run.checkpoint, "--scene-file", overfit_run.data_root / "fix1.txt",
+                        "--num-samples", "2", "--xi", "0.3"],
+            "dump-graphs": ["--checkpoint", overfit_run.checkpoint,
+                            "--scene-file", overfit_run.data_root / "fix2.txt"],
+        }[command]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli([command, *argv, "--out", first]) == 0
+        assert run_cli([command, "--config", first / "resolved.cfg", "--out", second]) == 0
+
+        def echoed(out):
+            lines = (out / "resolved.cfg").read_text().splitlines()
+            assert f"out={out}" in lines
+            return [line for line in lines if not line.startswith("out=")]
+
+        assert echoed(second) == echoed(first)
 
 
 class TestTrainCommand:
@@ -345,7 +390,7 @@ class TestEvalCommand:
             assert run_cli([
                 "eval", "--checkpoint", overfit_run.checkpoint,
                 "--data-root", overfit_run.data_root, "--holdout", "FIX1",
-                "--seed", "3", "--jobs", "2", "--out", out,
+                "--seed", "3", "--out", out,
             ]) == 0
             blobs.append((out / "metrics.csv").read_bytes())
         assert blobs[0] == blobs[1]
