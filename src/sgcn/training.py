@@ -11,6 +11,8 @@ and averaged over pedestrians.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 from pathlib import Path
 
@@ -35,12 +37,14 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Cap on the window-pedestrians (sum of N) of one training group.  A
 # training tape holds about 188 KB per window-pedestrian (tracemalloc,
-# default ModelConfig, N = 6-12), so 12 caps a group's tape near 2.3 MB.
-# On the bench's sparse-crowd workload (N ~ 2, 2-core VM, per-tap convs
-# that kept 220 KB tapes) caps of 8/12/16/24 gave 330/445/497/568 train
-# windows/s and peak RSS 50.9/51.8/52.9/54.7 MB, against 152 windows/s
-# and 50.2 MB with one tape per window.
-TRAIN_GROUP_PEDESTRIANS = 12
+# default ModelConfig, N = 6-12), so 24 caps a group's tape near 4.5 MB.
+# Larger groups pay only while freed tapes stay in the process
+# (_keep_freed_memory); without that, caps of 12/24/48 measured within
+# noise.  On the bench's sparse-crowd workload (N ~ 2, 2-core VM, 16
+# interleaved 10-s runs), a cap of 12 with memory returned gave 764
+# train windows/s at 50.9 MB peak RSS; 24 with memory kept gave 1057 at
+# 53.8 MB, and 48 about 1300 at 61 MB, over the bench's 10% RSS bound.
+TRAIN_GROUP_PEDESTRIANS = 24
 
 
 def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
@@ -118,6 +122,27 @@ def group_loss(scenes, weights: dict, model_cfg: ModelConfig) -> Tensor:
         return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process instead of returning it to the kernel.
+
+    Each training group frees its tape after ``backward``.  By default
+    glibc trims the freed top of the heap and unmaps large chunks, so the
+    next group takes a minor page fault per 4 KB page to get them back
+    (about 2,400 on one N = 40 window).  Raising glibc's trim threshold to
+    1 GiB and its mmap threshold to 32 MiB keeps that memory for reuse.
+    The setting applies to the whole process and lasts until it exits.
+    It works only with glibc; where the C library has no ``mallopt``,
+    this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to open
+        return
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: trim the heap's top only above 1 GiB free
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: mmap only chunks of 32 MiB and up
+
+
 def train(
     train_scenes,
     model_cfg: ModelConfig,
@@ -133,9 +158,13 @@ def train(
     loss log at the end, both usable mid-run.  A NumericsError names the
     window that fails alone (``model.map_groups``); windows rerun before
     it also run ``backward``, which is harmless, as the run aborts.
+    The first call sets glibc to keep freed memory for the rest of the
+    process (``_keep_freed_memory``), so later groups reuse the freed
+    tapes of earlier ones; with another C library it changes nothing.
     """
     if not train_scenes:
         raise ConfigError("training requires at least one scene window")
+    _keep_freed_memory()
     if weights is None:
         weights = init_weights(model_cfg, seed=train_cfg.seed)
     for p in weights.values():  # loaded checkpoints hold constants
