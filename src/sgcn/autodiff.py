@@ -19,14 +19,11 @@ Both settings are per thread, so concurrent passes do not see each other's.
 
 from __future__ import annotations
 
-import logging
 import threading
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError, ShapeError
-
-logger = logging.getLogger(__name__)
 
 
 class _CheckState(threading.local):
@@ -421,8 +418,9 @@ def softmax_lastdim(x, mask: np.ndarray | None = None) -> Tensor:
 
     ``mask`` is a constant boolean array broadcastable to x's shape;
     False positions get probability exactly 0 and the remaining entries
-    of each row renormalize.  A fully masked row yields an all-zero row
-    (logged, not raised) so composite pipelines stay total.
+    of each row renormalize.  Every row must keep at least one entry: a
+    fully masked row divides 0 by 0, and the NaN it yields fails the
+    'softmax' op's finiteness check.
     """
     x = as_tensor(x)
     if mask is None:
@@ -431,14 +429,8 @@ def softmax_lastdim(x, mask: np.ndarray | None = None) -> Tensor:
     else:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         masked = np.where(mask, x.data, -np.inf)
-        peak = masked.max(axis=-1, keepdims=True)
-        peak = np.where(np.isfinite(peak), peak, 0.0)
-        e = np.where(mask, np.exp(x.data - peak), 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    dead = denom == 0.0
-    if dead.any():
-        logger.warning("softmax: %d fully masked row(s) produced zero rows", int(dead.sum()))
-    out = np.divide(e, denom, out=np.zeros_like(e), where=~dead)
+        e = np.where(mask, np.exp(x.data - masked.max(axis=-1, keepdims=True)), 0.0)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)

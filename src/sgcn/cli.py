@@ -116,13 +116,13 @@ def _require(value: str, what: str) -> str:
 
 
 def _load_tables(run: RunConfig) -> dict:
-    return load_dataset(_require(run.data_root, "data_root"), run.field_order)
+    return load_dataset(_require(run.data_root, "data_root"))
 
 
 def _load_scene_input(run: RunConfig, t_obs: int):
     """Observation window of ``--scene-file`` for predict/dump-graphs."""
     path = _require(run.scene_file, "scene_file")
-    scene, dropped = last_observation(load_scene_file(path, field_order=run.field_order), t_obs, path)
+    scene, dropped = last_observation(load_scene_file(path), t_obs, path)
     if dropped:
         logger.warning("%s: dropping pedestrians with incomplete observation: %s", path, dropped)
     return scene

@@ -110,13 +110,21 @@ class RunConfig:
     seed: int = TrainConfig.seed
     num_samples: int = 20
     out: str = "runs/default"
-    field_order: str = "frame id x y"
     checkpoint: str = ""
     scene_file: str = ""
 
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take only non-negative seeds
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key, value in self.as_dict().items():  # refuse what resolved.cfg could not carry back unchanged
+            if not isinstance(value, str):
+                continue
+            if value != value.strip() or "\n" in value or "\r" in value:  # the reader strips, splits lines
+                raise ConfigError(f"{key} {value!r} has surrounding whitespace or a line break")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:  # an undecodable argv byte arrives as a lone surrogate
+                raise ConfigError(f"{key} {value!r} holds a character utf-8 cannot encode") from None
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,10 +1,10 @@
 """Trajectory file parsing, windowing, displacement conversion, and splits.
 
 Input files are plain text, one observation per line, whitespace-separated
-fields `frame_id pedestrian_id x y` (order configurable), positions in
-meters.  Windowing slices each scene into fixed-length observation +
-prediction samples; the model consumes per-step displacements and
-absolute positions are recovered by cumulative summation.
+fields `frame_id pedestrian_id x y` in that order, positions in meters.
+Windowing slices each scene into fixed-length observation + prediction
+samples; the model consumes per-step displacements and absolute
+positions are recovered by cumulative summation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
-
-FIELD_NAMES = ("frame", "id", "x", "y")
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class TrajectoryScene:
 class DatasetSplit:
     train_scenes: list
     test_scenes: list
-    holdout_name: str
 
 
 def _parse_int_field(token: str, what: str, where: str) -> int:
@@ -83,7 +80,7 @@ def _parse_int_field(token: str, what: str, where: str) -> int:
     return int(value)
 
 
-def _read_records(path: Path, order: tuple) -> tuple | None:
+def _read_records(path: Path) -> tuple | None:
     """(frames, ids, xy) from one ``np.loadtxt`` pass, or None where only :func:`_read_lines` can decide.
 
     Every field is read as float64, so ids spelled "10" and "10.0" both pass; the file is
@@ -97,18 +94,16 @@ def _read_records(path: Path, order: tuple) -> tuple | None:
             table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
-    if table.shape[1] != len(FIELD_NAMES):
+    if table.shape[1] != 4:
         return None
-    ids = table[:, [order.index("frame"), order.index("id")]]
-    xy = table[:, [order.index("x"), order.index("y")]]
+    ids, xy = table[:, :2], table[:, 2:]
     if not ((np.abs(ids) < 2**53) & (ids == np.floor(ids))).all() or not np.isfinite(xy).all():  # nan, inf
         return None
     return ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64), xy
 
 
-def _read_lines(path: Path, order: tuple) -> tuple:
+def _read_lines(path: Path) -> tuple:
     """(frames, ids, xy) line by line; the only reader that names the line of a fault."""
-    col = {f: order.index(f) for f in FIELD_NAMES}
     frames, ped_ids, xs, ys = [], [], [], []
     with open(path, errors="surrogateescape") as fh:  # an undecodable byte reads as one lone surrogate
         for lineno, line in enumerate(fh, start=1):
@@ -123,10 +118,10 @@ def _read_lines(path: Path, order: tuple) -> tuple:
             tokens = stripped.split()
             if len(tokens) != 4:
                 raise DataError(f"{where}: expected 4 fields, got {len(tokens)}")
-            frames.append(_parse_int_field(tokens[col["frame"]], "frame_id", where))
-            ped_ids.append(_parse_int_field(tokens[col["id"]], "pedestrian_id", where))
+            frames.append(_parse_int_field(tokens[0], "frame_id", where))
+            ped_ids.append(_parse_int_field(tokens[1], "pedestrian_id", where))
             try:
-                x, y = float(tokens[col["x"]]), float(tokens[col["y"]])
+                x, y = float(tokens[2]), float(tokens[3])
             except ValueError:
                 raise DataError(f"{where}: position fields must be numeric") from None
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -147,17 +142,14 @@ def _record_lines(path: Path, records: list) -> list:
     return [rows[r] for r in records]
 
 
-def load_scene_file(path, field_order: str = "frame id x y") -> RawTrajectoryTable:
+def load_scene_file(path) -> RawTrajectoryTable:
     """Parse one scene file into a table named by its upper-cased stem; errors carry line numbers.
 
     One ``np.loadtxt`` pass reads the file; a file it cannot vouch for is read
     again by the per-line rules, which name the file and line of a fault.
     """
-    order = tuple(field_order.split())
-    if sorted(order) != sorted(FIELD_NAMES):
-        raise ConfigError(f"field_order must permute {' '.join(FIELD_NAMES)!r}, got {field_order!r}")
     path = Path(path)
-    frames, ped_ids, xy = _read_records(path, order) or _read_lines(path, order)
+    frames, ped_ids, xy = _read_records(path) or _read_lines(path)
     order_idx = np.lexsort((ped_ids, frames))
     frames, ped_ids, xy = frames[order_idx], ped_ids[order_idx], xy[order_idx]
 
@@ -182,11 +174,6 @@ def _distinct_frames(frames: np.ndarray) -> np.ndarray:
 def _frame_step(distinct: list) -> int:
     """Smallest gap between consecutive ``distinct`` frames (1 for one frame), in Python ints, which cannot wrap."""
     return min((b - a for a, b in zip(distinct, distinct[1:])), default=1)
-
-
-def infer_frame_step(table: RawTrajectoryTable) -> int:
-    """Smallest gap between consecutive distinct frame ids (1 if only one frame)."""
-    return _frame_step(_distinct_frames(table.frames).tolist())
 
 
 def reconstruct_positions(origin: np.ndarray, displacements: np.ndarray) -> np.ndarray:
@@ -293,14 +280,14 @@ def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
     return _cut(table, rows, [0, len(rows)], t_obs)[0], dropped
 
 
-def load_dataset(data_root, field_order: str = "frame id x y") -> dict:
+def load_dataset(data_root) -> dict:
     """Map scene name -> table for every *.txt file under ``data_root``."""
     root = Path(data_root)
     if not root.is_dir():
         raise DataError(f"data root {root} is not a directory")
     tables, sources = {}, {}
     for path in sorted(root.glob("*.txt")):
-        table = load_scene_file(path, field_order=field_order)
+        table = load_scene_file(path)
         if table.name in tables:
             raise DataError(f"{sources[table.name]} and {path} both name scene {table.name}")
         tables[table.name], sources[table.name] = table, path
@@ -329,4 +316,4 @@ def leave_one_out_split(tables: dict, holdout: str, t_obs: int, t_pred: int) -> 
     """Train on every scene except ``holdout``; test on the holdout's windows."""
     test = window_scenes(holdout_table(tables, holdout), t_obs, t_pred)
     train = training_windows(tables, holdout, t_obs, t_pred)
-    return DatasetSplit(train_scenes=train, test_scenes=test, holdout_name=holdout)
+    return DatasetSplit(train_scenes=train, test_scenes=test)

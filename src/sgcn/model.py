@@ -32,6 +32,11 @@ from .graphs import build_spatial_graph, build_temporal_graph, pedestrian_major,
 CHECKPOINT_MAGIC = "SGCNCKPT"
 CHECKPOINT_VERSION = 1
 _CONFIG_KINDS = get_type_hints(ModelConfig)  # checkpoint header field -> type
+SIGMA_FLOOR = 1e-8
+# exp argument ceiling: keeps sigma finite under transient optimizer
+# excursions without affecting any realistic scale (e^30 ~ 1e13 meters)
+LOG_SIGMA_MAX = 30.0
+RHO_LIMIT = 1.0 - 1e-6
 
 
 @dataclass
@@ -235,13 +240,27 @@ def forward(displacements, weights: dict, cfg: ModelConfig):
     return raw, spa, tmp
 
 
+def gaussian_scales(raw: Tensor) -> tuple:
+    """(sigma_x, sigma_y, rho) of head output [..., 5]: the one map that both the loss and predictions use.
+
+    Sigma is the exp of the raw log-sigma clamped to [log 1e-8, 30] and rho
+    the tanh clamped to |rho| <= 1 - 1e-6, so the density stays finite and
+    nonsingular; gradients are exact away from the clamps.
+    """
+    log_floor = float(np.log(SIGMA_FLOOR))
+    sigma_x = ad.exp(ad.clamp(raw[..., 2], lo=log_floor, hi=LOG_SIGMA_MAX))
+    sigma_y = ad.exp(ad.clamp(raw[..., 3], lo=log_floor, hi=LOG_SIGMA_MAX))
+    return sigma_x, sigma_y, ad.clamp(ad.tanh(raw[..., 4]), lo=-RHO_LIMIT, hi=RHO_LIMIT)
+
+
 def to_gaussian(raw) -> BiGaussianParams:
-    """Split raw 5-vectors into (mu, sigma, rho) with positivity/range maps."""
+    """Split raw 5-vectors into plain-array (mu, sigma, rho) through :func:`gaussian_scales`."""
     values = raw.data if isinstance(raw, Tensor) else np.asarray(raw)
+    sigma_x, sigma_y, rho = gaussian_scales(Tensor(values))
     return BiGaussianParams(
         mu=values[..., 0:2].copy(),
-        sigma=np.exp(values[..., 2:4]),
-        rho=np.tanh(values[..., 4]),
+        sigma=np.stack([sigma_x.data, sigma_y.data], axis=-1),
+        rho=rho.data,
     )
 
 

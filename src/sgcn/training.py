@@ -23,15 +23,10 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
 from .errors import ConfigError
-from .model import forward, init_weights, map_groups, save_checkpoint, zero_grads
+from .model import forward, gaussian_scales, init_weights, map_groups, save_checkpoint, zero_grads
 
 logger = logging.getLogger(__name__)
 
-RHO_LIMIT = 1.0 - 1e-6
-SIGMA_FLOOR = 1e-8
-# exp argument ceiling: keeps sigma finite under transient optimizer
-# excursions without affecting any realistic scale (e^30 ~ 1e13 meters)
-LOG_SIGMA_MAX = 30.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Adam moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -51,17 +46,13 @@ def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
     """Loss per window: -sum over steps, mean over pedestrians, of the log density.
 
     ``raw`` is the head output [T_pred, N, 5] (a scalar loss) or a group's
-    [B, T_pred, N, 5] (losses [B]); the correlation is clamped to
-    |rho| <= 1 - 1e-6 and sigma floored at 1e-8 to keep the density
-    nonsingular (gradients are exact away from the clamps).
+    [B, T_pred, N, 5] (losses [B]), mapped to a density by
+    ``model.gaussian_scales``, as predictions are.
     """
     gt = np.asarray(gt_displacements, dtype=np.float64)
     n = raw.shape[-2]
-    log_floor = float(np.log(SIGMA_FLOOR))
     mu_x, mu_y = raw[..., 0], raw[..., 1]
-    sigma_x = ad.exp(ad.clamp(raw[..., 2], lo=log_floor, hi=LOG_SIGMA_MAX))
-    sigma_y = ad.exp(ad.clamp(raw[..., 3], lo=log_floor, hi=LOG_SIGMA_MAX))
-    rho = ad.clamp(ad.tanh(raw[..., 4]), lo=-RHO_LIMIT, hi=RHO_LIMIT)
+    sigma_x, sigma_y, rho = gaussian_scales(raw)
 
     dx = (gt[..., 0] - mu_x) / sigma_x
     dy = (gt[..., 1] - mu_y) / sigma_y

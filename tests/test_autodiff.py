@@ -163,13 +163,10 @@ class TestSoftmax:
         assert_allclose(out.sum(axis=-1), 1.0)
         assert np.all(out[~mask] == 0.0)
 
-    def test_fully_masked_row_is_zero_and_logged(self, caplog):
+    def test_fully_masked_row_raises(self):
         mask = np.array([[False, False], [True, True]])
-        with caplog.at_level("WARNING", logger="sgcn.autodiff"):
-            out = ad.softmax_lastdim(ad.Tensor(np.ones((2, 2))), mask=mask)
-        assert_allclose(out.data[0], [0.0, 0.0])
-        assert_allclose(out.data[1], [0.5, 0.5])
-        assert any("masked" in rec.message for rec in caplog.records)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="'softmax'"):
+            ad.softmax_lastdim(ad.Tensor(np.ones((2, 2))), mask=mask)
 
     def test_large_logits_stable(self):
         out = ad.softmax_lastdim(ad.Tensor([1000.0, 1000.0, 0.0]))

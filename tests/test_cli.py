@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +19,10 @@ from sgcn import cli
 from sgcn import data as sgcn_data
 from sgcn import evaluation as ev
 from sgcn import model as sgcn_model
+from sgcn import synthetic
 from sgcn import training as tr
 from sgcn.autodiff import Tensor
-from sgcn.config import ModelConfig, TrainConfig, read_config_file
+from sgcn.config import ModelConfig, RunConfig, TrainConfig, read_config_file
 from sgcn.model import init_weights, load_checkpoint, save_checkpoint
 
 from conftest import fixture_positions, write_trajectory_file
@@ -144,6 +145,28 @@ class TestConfigResolution:
         assert f"{cfg}:2: byte 0xff is not utf-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_order_key_exits_2(self, fixture_root, tmp_path, capsys):
+        # scene files have one column layout; a resolved.cfg from before that holds field_order=
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_root={fixture_root}\nholdout=DUMMY\nfield_order=frame id x y\n")
+        out = tmp_path / "o"
+        assert run_cli(["train", "--config", cfg, "--epochs", "1", "--out", out]) == 2
+        assert "unknown config key 'field_order'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix, problem", [
+        (" ", "surrounding whitespace"),
+        ("\nx", "line break"),
+        ("\udcff", "utf-8 cannot encode"),  # how Python hands over an undecodable argv byte
+    ], ids=["trailing-space", "newline", "undecodable-byte"])
+    def test_value_resolved_cfg_cannot_carry_exits_2(self, fixture_root, tmp_path, capsys, suffix, problem):
+        out = str(tmp_path / "o") + suffix
+        args = ["train", "--data-root", fixture_root, "--holdout", "DUMMY", "--epochs", "1", "--out", out]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: out {out!r}" in err and problem in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestParser:
     def test_built_once_per_process(self):
@@ -159,6 +182,14 @@ class TestParser:
             ]) == 0
         assert read_config_file(first / "resolved.cfg")["xi"] == "0.3"
         assert read_config_file(second / "resolved.cfg")["xi"] == repr(overfit_run.model_cfg.xi)
+
+    def test_every_config_key_is_a_flag(self):
+        # a key only --config can set is a second way in that the flags do not show
+        keys = {f.name for f in fields(RunConfig)} - {"command"}
+        [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, parser in subparsers.choices.items():
+            flags = {action.dest for action in parser._actions if action.option_strings} - {"help", "config"}
+            assert flags == keys, command
 
     def test_readme_flag_table_matches_parser(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -497,6 +528,27 @@ class TestPredictCommand:
         lines = (out / "predictions.csv").read_text().splitlines()
         assert len(lines) == 3 * (8 + 12) + 1
         assert {line.split(",")[1] for line in lines[1:]} == {"obs", "mu"}
+
+    def test_huge_log_sigma_stays_finite(self, tmp_path):
+        # a finite checkpoint whose head emits log-sigma 800: sigma takes the loss's clamp at e^30
+        synthetic.write_dataset(tmp_path / "data", n_steps=40)
+        weights = init_weights(ModelConfig(), seed=0)
+        weights["out_proj_b"].data[2] = 800.0
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, weights, ModelConfig())
+        assert run_cli([
+            "predict", "--checkpoint", ckpt, "--scene-file", tmp_path / "data" / "zara2.txt", "--out", tmp_path / "p",
+        ]) == 0
+        rows = [line.split(",") for line in (tmp_path / "p" / "predictions.csv").read_text().splitlines()[1:]]
+        cells = np.array([float(c) for row in rows for c in row[4:] if c])
+        assert np.isfinite(cells).all()
+        sigma_x = np.array([float(row[6]) for row in rows if row[1] == "mu"])
+        assert sigma_x.max() == np.exp(30.0)
+        assert run_cli([
+            "eval", "--checkpoint", ckpt, "--data-root", tmp_path / "data", "--out", tmp_path / "e",
+        ]) == 0
+        overall = (tmp_path / "e" / "metrics.csv").read_text().splitlines()[1].split(",")
+        assert np.isfinite([float(overall[1]), float(overall[2])]).all()
 
     def test_negative_samples_rejected(self, overfit_run, tmp_path, capsys):
         code = run_cli([

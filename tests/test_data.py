@@ -133,17 +133,6 @@ class TestLoadSceneFile:
         assert list(table.frames) == [10, 10, 20, 20]
         assert list(table.ped_ids) == [1, 5, 1, 2]
 
-    def test_custom_field_order(self, tmp_path):
-        p = write_lines(tmp_path / "o.txt", ["1 7.5 8.5 30"])
-        table = dd.load_scene_file(p, field_order="id x y frame")
-        assert table.frames[0] == 30 and table.ped_ids[0] == 1
-        assert_allclose(table.xy[0], [7.5, 8.5])
-
-    def test_bad_field_order_rejected(self, tmp_path):
-        p = write_lines(tmp_path / "o.txt", ["1 2 3 4"])
-        with pytest.raises(ConfigError):
-            dd.load_scene_file(p, field_order="frame id x")
-
 
 class TestReaderSelection:
     """A file the one-pass read can vouch for skips the per-line rules."""
@@ -173,21 +162,19 @@ BLANK_LINES = ("", " ", "\t", "\xa0")
 
 @st.composite
 def scene_files(draw):
-    """(field order, file bytes): clean rows in fuzzed layout, or rows with odd tokens, field counts and bytes."""
-    order = draw(st.permutations(dd.FIELD_NAMES))
+    """File bytes: clean rows in fuzzed layout, or rows with odd tokens, field counts and bytes."""
     odd = draw(st.booleans())
     text = ""
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 4)) == 0:
             text += draw(st.sampled_from(BLANK_LINES)) + draw(st.sampled_from(ENDINGS))
             continue
-        value = {
-            "frame": str(draw(st.integers(0, 4))),
-            "id": str(draw(st.integers(-2, 2))),
-            "x": repr(draw(st.floats(-1e3, 1e3))),
-            "y": repr(draw(st.floats(-1e3, 1e3))),
-        }
-        tokens = [value[f] for f in order]
+        tokens = [
+            str(draw(st.integers(0, 4))),
+            str(draw(st.integers(-2, 2))),
+            repr(draw(st.floats(-1e3, 1e3))),
+            repr(draw(st.floats(-1e3, 1e3))),
+        ]
         if odd:
             tokens = [draw(st.sampled_from(ODD_TOKENS)) if draw(st.integers(0, 3)) == 0 else t for t in tokens]
             tokens = tokens[: draw(st.sampled_from((3, 4, 4, 4)))] + ["1"] * draw(st.sampled_from((0, 0, 0, 1)))
@@ -197,30 +184,29 @@ def scene_files(draw):
     if odd and draw(st.booleans()):
         at = draw(st.integers(0, len(raw)))
         raw = raw[:at] + b"\xff" + raw[at:]
-    return " ".join(order), raw
+    return raw
 
 
-def load_outcome(path, field_order):
+def load_outcome(path):
     """A table as its name and raw arrays, or the SgcnError it raised as type and message."""
     try:
-        table = dd.load_scene_file(path, field_order)
+        table = dd.load_scene_file(path)
     except SgcnError as err:
         return repr(err)
     return [table.name] + [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in (table.frames, table.ped_ids, table.xy)]
 
 
 @given(scene_files())
-@example(("frame id x y", b"0 -9223372036854775808 1.0 1.0\n"))  # beyond 2**53: the per-line rules decide
-@example(("id x y frame", b"1.0 0.5 0.5 10\r\n\n2 0.5 0.5 10.0\r\n"))  # decimal-spelled ids
+@example(b"0 -9223372036854775808 1.0 1.0\n")  # beyond 2**53: the per-line rules decide
+@example(b"10 1.0 0.5 0.5\r\n\n10.0 2 0.5 0.5\r\n")  # decimal-spelled ids
 @settings(max_examples=300, deadline=None)
-def test_one_pass_read_matches_per_line_rules(scene_file):
-    field_order, raw = scene_file
+def test_one_pass_read_matches_per_line_rules(raw):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.txt"
         path.write_bytes(raw)
-        got = load_outcome(path, field_order)
+        got = load_outcome(path)
         with mock.patch.object(dd, "_read_records", return_value=None):
-            want = load_outcome(path, field_order)
+            want = load_outcome(path)
     assert got == want
     if isinstance(got, str):
         assert got.startswith("DataError(")
@@ -279,7 +265,6 @@ class TestWindowScenes:
     def test_frame_step_beyond_int64(self):
         # two frames 1e19 apart: an int64 difference wraps negative
         table = make_table([(-5 * 10**18, 1, 0.0, 0.0), (5 * 10**18, 1, 0.5, 0.0)])
-        assert dd.infer_frame_step(table) == 10**19
         scene, dropped = dd.last_observation(table, 2, "test.txt")
         assert scene.pedestrian_ids == (1,) and scene.start_frame == -5 * 10**18
         assert dropped == []
@@ -489,7 +474,6 @@ class TestSplit:
     def test_five_scene_split(self, tmp_path):
         tables = self.tables(tmp_path)
         split = dd.leave_one_out_split(tables, "ZARA1", 8, 12)
-        assert split.holdout_name == "ZARA1"
         assert all(s.scene_name == "ZARA1" for s in split.test_scenes)
         assert all(s.scene_name != "ZARA1" for s in split.train_scenes)
         assert {s.scene_name for s in split.train_scenes} == {"ETH", "HOTEL", "UNIV", "ZARA2"}
@@ -523,7 +507,6 @@ class TestSyntheticDataset:
         assert set(paths) == set(synthetic.SCENE_SEEDS)
         tables = dd.load_dataset(tmp_path)
         for table in tables.values():
-            assert dd.infer_frame_step(table) == synthetic.FRAME_STEP
             scenes = dd.window_scenes(table, 8, 12)
             assert scenes, table.name
 

@@ -8,6 +8,7 @@ import pytest
 
 from sgcn import autodiff as ad
 from sgcn import data as sgcn_data
+from sgcn import model as mm
 from sgcn import training as tr
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig, TrainConfig
@@ -35,8 +36,8 @@ def small_scenes():
 def nll_reference(raw: np.ndarray, gt: np.ndarray) -> float:
     """Independent elementwise reimplementation of the loss."""
     mu = raw[..., 0:2]
-    sigma = np.exp(np.clip(raw[..., 2:4], np.log(tr.SIGMA_FLOOR), tr.LOG_SIGMA_MAX))
-    rho = np.clip(np.tanh(raw[..., 4]), -tr.RHO_LIMIT, tr.RHO_LIMIT)
+    sigma = np.exp(np.clip(raw[..., 2:4], np.log(mm.SIGMA_FLOOR), mm.LOG_SIGMA_MAX))
+    rho = np.clip(np.tanh(raw[..., 4]), -mm.RHO_LIMIT, mm.RHO_LIMIT)
     dx = (gt[..., 0] - mu[..., 0]) / sigma[..., 0]
     dy = (gt[..., 1] - mu[..., 1]) / sigma[..., 1]
     z = dx**2 - 2.0 * rho * dx * dy + dy**2
