@@ -463,8 +463,8 @@ def _toposort(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf.
 
-    Repeated calls without zero_grad accumulate, which is what gradient
-    accumulation over a batch of scenes relies on.
+    Repeated calls without zero_grad accumulate, in place once a leaf has
+    a grad, which is what gradient accumulation over a batch relies on.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -475,7 +475,10 @@ def backward(loss: Tensor) -> None:
         if g is None or not node.requires_grad:
             continue
         if node._vjp is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if node.grad is None:
+                node.grad = g.copy()
+            else:  # in place: training.Adam's parameters hold views of its flat gradient
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

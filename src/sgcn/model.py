@@ -109,11 +109,6 @@ def init_weights(cfg: ModelConfig, seed: int = 0) -> dict:
     return w
 
 
-def zero_grads(weights: dict) -> None:
-    for tensor in weights.values():
-        tensor.zero_grad()
-
-
 def group_by_size(sizes, budget: int) -> list:
     """Split window indices into groups of equal size, each summing to at most ``budget``.
 
@@ -327,9 +322,7 @@ def load_checkpoint(path) -> tuple:
     head, sep, _ = blob.partition(b"\nEND\n")
     if not sep:
         raise CheckpointError(f"{path}: missing END marker in header")
-    header_lines = head.decode(errors="replace").splitlines()
-    if not header_lines:
-        raise CheckpointError(f"{path}: empty header")
+    header_lines = head.decode(errors="replace").split("\n")  # never empty; splitlines would also break at \x0c, \x1c, ...
     magic = header_lines[0].split()
     if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad version line {header_lines[0]!r}, expected '{CHECKPOINT_MAGIC} <version>'")
@@ -350,17 +343,20 @@ def load_checkpoint(path) -> tuple:
             if name in shapes:
                 raise CheckpointError(f"{where}: parameter {name} listed twice in shape table")
             shapes[name] = shape
-        elif eq and key in _CONFIG_KINDS:
+        elif eq and (kind := _CONFIG_KINDS.get(key)):
             if key in fields:
                 raise CheckpointError(f"{where}: config field {key} given twice")
-            fields[key] = value
+            try:  # a written value has no surrounding whitespace, and "" reads as neither kind
+                fields[key] = kind(value if value == value.strip() else "")
+            except ValueError:
+                raise CheckpointError(f"{where}: config field {key} expects {kind.__name__}, got {value!r}") from None
         else:
             raise CheckpointError(f"{where}: {line!r} is neither a config field nor a param line")
     try:
-        cfg = ModelConfig(**{key: kind(fields[key]) for key, kind in _CONFIG_KINDS.items()})
+        cfg = ModelConfig(**{key: fields[key] for key in _CONFIG_KINDS})
     except KeyError as err:
         raise CheckpointError(f"{path}: header missing config field {err}") from None
-    except (ValueError, ConfigError) as err:
+    except ConfigError as err:
         raise CheckpointError(f"{path}: bad config header: {err}") from None
 
     expected_shapes = sorted((name, shape) for name, shape, _ in _layout(cfg))

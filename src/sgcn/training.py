@@ -2,11 +2,11 @@
 
 Scenes have variable pedestrian counts, so a "batch" is a gradient
 accumulation window: ``model.map_groups`` splits its scenes into groups
-of equal pedestrian count, each group runs one forward and one backward
-pass, accumulated gradients are averaged over the window, and Adam steps
-once per window.  The objective per scene is the bi-variate Gaussian
-NLL of the ground-truth future displacements, summed over future steps
-and averaged over pedestrians.
+of equal pedestrian count, each group's backward pass adds in place into
+``Adam``'s flat gradient, and Adam steps once per window on its average;
+a parameter backward never reaches moves by exactly 0.  The objective
+per scene is the bi-variate Gaussian NLL of the ground-truth future
+displacements, summed over future steps and averaged over pedestrians.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
 from .errors import ConfigError
-from .model import forward, gaussian_scales, init_weights, map_groups, save_checkpoint, zero_grads
+from .model import forward, gaussian_scales, init_weights, map_groups, save_checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -69,30 +69,35 @@ def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
 
 
 class Adam:
-    """Standard Adam with bias correction over a name -> Tensor dict.
+    """Adam with bias correction over flat float64 arrays ``data``, ``grad``, ``m`` and ``v``.
 
-    Parameters whose grad is None (never touched by backward) are left
-    untouched; their moment buffers stay zero.
+    The arrays follow sorted-name order, the checkpoint payload's order.  Each
+    parameter is marked trainable, and its ``data`` and ``grad`` become views
+    into them, which ``backward`` adds into in place.  A parameter backward
+    never reaches keeps a zero gradient and moments, so it moves by exactly 0.
+    ``Tensor.zero_grad()`` detaches a parameter from ``grad``.
     """
 
     def __init__(self, weights: dict):
+        params = [weights[name] for name in sorted(weights)]
+        self.data = np.concatenate([p.data.ravel() for p in params])
+        self.grad, self.m, self.v = (np.zeros_like(self.data) for _ in range(3))
         self.step_count = 0
-        self.m = {name: np.zeros(t.shape) for name, t in weights.items()}
-        self.v = {name: np.zeros(t.shape) for name, t in weights.items()}
+        bounds = np.cumsum([p.data.size for p in params])[:-1]
+        for p, data, grad in zip(params, np.split(self.data, bounds), np.split(self.grad, bounds)):
+            p.data, p.grad = data.reshape(p.shape), grad.reshape(p.shape)
+            p.requires_grad = True
 
-    def step(self, weights: dict, lr: float, grad_scale: float = 1.0) -> None:
+    def step(self, lr: float, grad_scale: float = 1.0) -> None:
+        """One update from ``grad * grad_scale``; then zeroes ``grad``."""
         self.step_count += 1
-        correct1 = 1.0 - ADAM_BETA1 ** self.step_count
-        correct2 = 1.0 - ADAM_BETA2 ** self.step_count
-        for name, p in weights.items():
-            if p.grad is None:
-                continue
-            g = p.grad * grad_scale
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[name] / correct1
-            v_hat = self.v[name] / correct2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = self.grad * grad_scale
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step_count)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step_count)
+        self.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.grad.fill(0.0)
 
 
 def write_loss_log(rows, path) -> None:
@@ -158,12 +163,9 @@ def train(
     _keep_freed_memory()
     if weights is None:
         weights = init_weights(model_cfg, seed=train_cfg.seed)
-    for p in weights.values():  # loaded checkpoints hold constants
-        p.requires_grad = True
-    optimizer = Adam(weights)
+    optimizer = Adam(weights)  # loaded checkpoints hold constants: Adam marks them trainable
     order_rng = np.random.default_rng(train_cfg.seed)
     rows = []
-    zero_grads(weights)
     for epoch in range(train_cfg.epochs):
         lr = train_cfg.lr_at(epoch)
         order = order_rng.permutation(len(train_scenes))
@@ -177,9 +179,8 @@ def train(
 
             # permutation order: the row mean ignores the grouping
             losses = map_groups(backward_group, window, TRAIN_GROUP_PEDESTRIANS)
-            optimizer.step(weights, lr, grad_scale=1.0 / len(window))
+            optimizer.step(lr, grad_scale=1.0 / len(window))
             rows.append((epoch, len(rows) + 1, float(np.mean(losses)), lr))
-            zero_grads(weights)
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, weights, model_cfg)
         logger.info("epoch %d done, lr %.2e, last window nll %.4f", epoch, lr, rows[-1][2])

@@ -443,8 +443,13 @@ class TestCheckpoint:
             mm.load_checkpoint(path)
 
     @pytest.mark.parametrize("old, new, match", [
-        (b"t_obs=4\n", b"t_obs=abc\n", "abc"),
-        (b"xi=0.5\n", b"xi=zz\n", "zz"),
+        (b"t_obs=4\n", b"t_obs=abc\n", "header line 2: config field t_obs expects int, got 'abc'"),
+        (b"t_obs=4\n", b"t_obs=4.5\n", "header line 2: config field t_obs expects int, got '4.5'"),
+        (b"xi=0.5\n", b"xi=zz\n", "header line 8: config field xi expects float, got 'zz'"),
+        # bytes str.splitlines breaks at, but the header's lines end only at \n
+        *((b"t_obs=4\n", b"t_obs=4" + sep + b"\n", "header line 2: config field t_obs expects int")
+          for sep in (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "\x85".encode())),
+        (b"t_obs=4\n", b"t_obs=4\x1c5\n", "header line 2: config field t_obs expects int"),
         (b"param out_proj_b 5\n", b"param out_proj_b x\n", "out_proj_b x"),
         (b"t_obs=4\n", b"t_obs=0\n", "t_obs must be >= 1"),
         (b"xi=0.5\n", b"xi=0.9\nxi=0.5\n", "header line 9: config field xi given twice"),

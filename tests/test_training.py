@@ -13,7 +13,7 @@ from sgcn import training as tr
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig, TrainConfig
 from sgcn.errors import ConfigError, NumericsError
-from sgcn.model import forward, group_by_size, init_weights, load_checkpoint, zero_grads
+from sgcn.model import forward, group_by_size, init_weights, load_checkpoint
 
 from conftest import FIXTURE_SCENES, fixture_positions
 
@@ -108,44 +108,80 @@ class TestNllOracles:
 
 class TestAdam:
     def test_zero_gradient_leaves_weights(self):
-        w = {"a": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-        w["a"].grad = np.zeros(2)
+        w = {"a": Tensor(np.array([1.0, 2.0]))}
         before = w["a"].data.copy()
-        tr.Adam(w).step(w, lr=0.1)
+        opt = tr.Adam(w)
+        w["a"].grad[:] = 0.0
+        opt.step(lr=0.1)
         assert np.array_equal(w["a"].data, before)
 
-    def test_none_gradient_skipped(self):
-        w = {"a": Tensor(np.array([3.0]), requires_grad=True)}
-        tr.Adam(w).step(w, lr=0.1)
-        assert np.array_equal(w["a"].data, np.array([3.0]))
+    def test_unreached_parameter_keeps_its_bytes(self):
+        # backward never reaches "frozen" (as with the gate cascade); it keeps zero moments and moves by exactly 0
+        w = {"moving": Tensor(np.array([1.0, -2.0])), "frozen": Tensor(np.array([0.5, -0.0, -3.25]))}
+        frozen = w["frozen"].data.tobytes()
+        opt = tr.Adam(w)
+        unreached = slice(0, 3)  # sorted-name order: "frozen" comes first
+        for _ in range(5):
+            ad.backward(ad.tsum(w["moving"] * w["moving"]))
+            opt.step(lr=0.1, grad_scale=0.5)
+            assert w["frozen"].data.tobytes() == frozen
+            assert not np.any(opt.m[unreached]) and not np.any(opt.v[unreached])
+        assert np.all(w["moving"].data != np.array([1.0, -2.0]))
+        assert w["frozen"].requires_grad and w["moving"].requires_grad
+
+    def test_first_gradient_negative_zero(self):
+        # a free leaf keeps a first gradient of -0.0 (g.copy()); an adopted one adds it into +0.0
+        free = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        ad.backward(ad.tsum(free * np.array([-0.0, 3.0])))
+        assert np.signbit(free.grad[0])
+        w = {"x": Tensor(np.array([1.0, -2.0]))}
+        opt = tr.Adam(w)
+        ad.backward(ad.tsum(w["x"] * np.array([-0.0, 3.0])))
+        assert w["x"].grad.tolist() == [0.0, 3.0] and not np.signbit(w["x"].grad[0])
+        opt.step(lr=0.1)
+        assert w["x"].data[0] == 1.0 and w["x"].data[1] == pytest.approx(-2.1, abs=1e-7)
+        assert opt.m[0] == opt.v[0] == 0.0 and not np.signbit(opt.m[0])
+        assert not np.any(opt.grad)  # step zeroes the flat gradient
 
     def test_first_step_moves_by_lr(self):
         # biased-corrected first step is lr * g / (|g| + eps) ~= lr * sign(g)
-        w = {"x": Tensor(np.array([5.0]), requires_grad=True)}
-        w["x"].grad = np.array([2.0])
-        tr.Adam(w).step(w, lr=0.1)
+        w = {"x": Tensor(np.array([5.0]))}
+        opt = tr.Adam(w)
+        w["x"].grad[:] = 2.0
+        opt.step(lr=0.1)
         assert w["x"].data[0] == pytest.approx(4.9, abs=1e-7)
 
     def test_quadratic_descent(self):
-        w = {"x": Tensor(np.array([5.0]), requires_grad=True)}
+        w = {"x": Tensor(np.array([5.0]))}
         opt = tr.Adam(w)
         for _ in range(200):
-            w["x"].grad = 2.0 * w["x"].data
-            opt.step(w, lr=0.1)
+            w["x"].grad[:] = 2.0 * w["x"].data
+            opt.step(lr=0.1)
         assert abs(w["x"].data[0]) < 0.05
 
     def test_grad_scale_equals_prescaled_gradients(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=4)
-        w1 = {"x": Tensor(np.ones(4), requires_grad=True)}
-        w2 = {"x": Tensor(np.ones(4), requires_grad=True)}
+        w1 = {"x": Tensor(np.ones(4))}
+        w2 = {"x": Tensor(np.ones(4))}
         o1, o2 = tr.Adam(w1), tr.Adam(w2)
         for _ in range(5):
-            w1["x"].grad = g.copy()
-            o1.step(w1, lr=0.01, grad_scale=0.5)
-            w2["x"].grad = 0.5 * g
-            o2.step(w2, lr=0.01)
+            w1["x"].grad[:] = g
+            o1.step(lr=0.01, grad_scale=0.5)
+            w2["x"].grad[:] = 0.5 * g
+            o2.step(lr=0.01)
         assert np.allclose(w1["x"].data, w2["x"].data, atol=1e-14)
+
+    def test_flat_data_is_the_checkpoint_payload(self, tmp_path):
+        w = init_weights(SMALL_CFG, seed=4)
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, w, SMALL_CFG)
+        payload = path.read_bytes().partition(b"\nEND\n")[2]
+        opt = tr.Adam(w)
+        assert opt.data.tobytes() == payload
+        for name, p in w.items():
+            assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad), name
+        assert (opt.grad.shape, opt.m.shape, opt.v.shape) == (opt.data.shape,) * 3
 
 
 class TestTrainConfig:
@@ -351,7 +387,8 @@ def test_group_losses_and_gradients_match_per_window():
         ad.backward(loss)
         singles.append(loss.item())
     want = {name: w.grad for name, w in weights.items()}
-    zero_grads(weights)
+    for w in weights.values():
+        w.zero_grad()
     for group in groups:
         losses = tr.group_loss([scenes[i] for i in group], weights, cfg)
         assert losses.shape == (len(group),)
