@@ -4,8 +4,14 @@ Every operation records its inputs and a vector-Jacobian product (vjp)
 closure on the output tensor; ``backward`` replays those records in
 reverse execution order and accumulates gradients into the leaves.
 The primitive set is exactly what the trajectory model needs: batched
-matmul, zero-padded 2-d convolution, masked softmax, and a handful of
-pointwise functions.
+matmul, zero-padded 2-d convolution, masked softmax, a handful of
+pointwise functions, and two fused layers, each one tape node with a
+hand-written vjp: ``linear`` (``x @ w + b``) and ``conv2d_prelu`` (a
+temporal-conv block: conv, PReLU and an optional residual).  A fused
+layer keeps only what its vjp reads and recomputes the rest, so a
+training tape stays small; its outputs and gradients equal those of the
+composed primitives bit for bit.  ``model.gcn_layer`` is built the same
+way from the vjp helpers here.
 
 By default every primitive checks its output for NaN/Inf, so a numerical
 failure surfaces at its source.  That check took about a tenth of
@@ -245,6 +251,13 @@ def _sigmoid(data: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prelu_vjp(g: np.ndarray, pre: np.ndarray, neg: np.ndarray, slope: Tensor) -> tuple:
+    """Gradients (input, slope) of PReLU at pre-activation ``pre`` with sign mask ``neg``."""
+    gx = np.where(neg, slope.data, 1.0) * g
+    gs = _unbroadcast(np.where(neg, pre, 0.0) * g, slope.shape)
+    return gx, gs
+
+
 def prelu(x, slope) -> Tensor:
     """Parametric ReLU: identity for x >= 0, slope * x otherwise."""
     x, slope = as_tensor(x), as_tensor(slope)
@@ -252,9 +265,7 @@ def prelu(x, slope) -> Tensor:
     out = np.where(neg, slope.data * x.data, x.data)
 
     def vjp(g):
-        gx = np.where(neg, slope.data, 1.0) * g
-        gs = _unbroadcast(np.where(neg, x.data, 0.0) * g, slope.shape)
-        return gx, gs
+        return _prelu_vjp(g, x.data, neg, slope)
 
     return Tensor(out, _parents=(x, slope), _vjp=vjp, _op="prelu")
 
@@ -333,27 +344,56 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
 # linear-algebra primitives
 
 
-def matmul(a, b) -> Tensor:
-    """Batched matrix product a[.., m, k] @ b[.., k, n]."""
-    a, b = as_tensor(a), as_tensor(b)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched ``a @ b``; operands that cannot multiply raise ShapeError."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >= 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     try:
-        out = a.data @ b.data
+        return a @ b
     except ValueError as err:
         raise ShapeError(f"matmul batch extents incompatible: {a.shape} @ {b.shape}") from err
 
+
+def _product_vjp(g: np.ndarray, a: np.ndarray, b: np.ndarray, wrt_a: bool = True) -> tuple:
+    """Gradients (a, b) of ``a @ b`` from the output gradient ``g``; the first is None unless ``wrt_a``."""
+    ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape) if wrt_a else None
+    if b.ndim == 2:  # a shared weight: one gemm over every row of every slice
+        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    else:
+        gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
+def matmul(a, b) -> Tensor:
+    """Batched matrix product a[.., m, k] @ b[.., k, n]."""
+    a, b = as_tensor(a), as_tensor(b)
+    out = _product(a.data, b.data)
+
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.ndim == 2:  # a shared weight: one gemm over every row of every slice
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return _product_vjp(g, a.data, b.data)
 
     return Tensor(out, _parents=(a, b), _vjp=vjp, _op="matmul")
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node: x [..., m, k], weight w [k, n], bias b [n].
+
+    It keeps nothing but its operands, and computes no gradient for a
+    constant ``x``.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if b.shape != w.shape[-1:]:
+        raise ShapeError(f"bias shape {b.shape} != ({w.shape[-1]},)")
+    out = _product(x.data, w.data)
+    out += b.data
+
+    def vjp(g):
+        gx, gw = _product_vjp(g, x.data, w.data, wrt_a=x.requires_grad)
+        return gx, gw, _unbroadcast(g, b.shape)
+
+    return Tensor(out, _parents=(x, w, b), _vjp=vjp, _op="linear")
 
 
 def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -369,27 +409,32 @@ def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return taps.reshape(n_b, c * kh * kw, height * width)
 
 
-def _correlate(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+def _correlate(x: np.ndarray, kernels: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded correlation of x [B, C_in, H, W] with [C_out, C_in, kh, kw] -> [B, C_out, H, W].
 
     One im2col gemm per window, so a window's result does not depend on B.
+    ``cols`` are x's im2col columns, when the caller has them already.
     """
     n_b, _, height, width = x.shape
-    out = kernels.reshape(len(kernels), -1) @ _columns(x, *kernels.shape[2:])
+    if cols is None:
+        cols = _columns(x, *kernels.shape[2:])
+    out = kernels.reshape(len(kernels), -1) @ cols
     return out.reshape(n_b, -1, height, width)
 
 
-def conv2d_zero_pad(x, kernels, bias) -> Tensor:
-    """Zero-padded cross-correlation plus a per-output-channel bias.
+def _conv_vjp(g: np.ndarray, kernels: np.ndarray, cols: np.ndarray) -> tuple:
+    """Gradients (input, kernels, bias) of a conv from its output gradient g [B, C_out, H, W] and input columns.
 
-    ``x`` is [..., C_in, H, W] (any leading axes); ``kernels`` is
-    [C_out, C_in, kh, kw] with odd kh, kw so symmetric padding keeps H
-    and W unchanged; ``bias`` is [C_out].  Covers 1x1 channel fusion, the
-    (1xS)/(Sx1) asymmetric pairs, and the prediction head's temporal
-    convolutions.  The input gradient is the correlation of the output
-    gradient with the flipped, channel-swapped kernels.
+    The input gradient is the correlation of g with the flipped,
+    channel-swapped kernels.
     """
-    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
+    gx = _correlate(g, np.swapaxes(kernels[:, :, ::-1, ::-1], 0, 1))
+    gk = np.tensordot(g.reshape(len(g), len(kernels), -1), cols, axes=([0, 2], [0, 2]))
+    return gx, gk.reshape(kernels.shape), g.sum(axis=(0, 2, 3))
+
+
+def _check_conv(x: Tensor, kernels: Tensor, bias: Tensor) -> None:
+    """The operand checks of a zero-padded conv; see :func:`conv2d_zero_pad`."""
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be 4-d, got {kernels.shape}")
     c_out, c_in, kh, kw = kernels.shape
@@ -399,18 +444,67 @@ def conv2d_zero_pad(x, kernels, bias) -> Tensor:
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
     if x.ndim < 3 or x.shape[-3] != c_in:
         raise ShapeError(f"conv input must be [..., {c_in}, H, W] for kernel C_in {c_in}, got {x.shape}")
+
+
+def conv2d_zero_pad(x, kernels, bias) -> Tensor:
+    """Zero-padded cross-correlation plus a per-output-channel bias.
+
+    ``x`` is [..., C_in, H, W] (any leading axes); ``kernels`` is
+    [C_out, C_in, kh, kw] with odd kh, kw so symmetric padding keeps H
+    and W unchanged; ``bias`` is [C_out].  Covers the spatial graph's 1x1
+    channel fusion and the gate features' (1xS)/(Sx1) asymmetric pairs;
+    the prediction head's convolutions run through :func:`conv2d_prelu`.
+    """
+    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
+    _check_conv(x, kernels, bias)
+    c_out, c_in, kh, kw = kernels.shape
     height, width = x.shape[-2:]
     out = _correlate(x.data.reshape(-1, c_in, height, width), kernels.data)
     out += bias.data[:, None, None]
 
     def vjp(g):
-        g = g.reshape(-1, c_out, height, width)
-        gx = _correlate(g, np.swapaxes(kernels.data[:, :, ::-1, ::-1], 0, 1))
         cols = _columns(x.data.reshape(-1, c_in, height, width), kh, kw)
-        gk = np.tensordot(g.reshape(len(g), c_out, -1), cols, axes=([0, 2], [0, 2]))
-        return gx.reshape(x.shape), gk.reshape(kernels.shape), g.sum(axis=(0, 2, 3))
+        gx, gk, gb = _conv_vjp(g.reshape(-1, c_out, height, width), kernels.data, cols)
+        return gx.reshape(x.shape), gk, gb
 
     return Tensor(out.reshape(x.shape[:-3] + out.shape[1:]), _parents=(x, kernels, bias), _vjp=vjp, _op="conv2d")
+
+
+def conv2d_prelu(x, kernels, bias, slope, residual: bool = False) -> Tensor:
+    """``prelu(conv2d_zero_pad(x, kernels, bias), slope)``, plus ``x`` when ``residual``, as one node.
+
+    The prediction head's temporal-conv block.  The node keeps its input
+    and the sign mask; its vjp builds the im2col columns once, recomputes
+    the pre-activation from them and reuses them for the kernel gradient.
+    A residual block needs C_out == C_in.
+    """
+    x, kernels, bias, slope = as_tensor(x), as_tensor(kernels), as_tensor(bias), as_tensor(slope)
+    _check_conv(x, kernels, bias)
+    c_out, c_in, kh, kw = kernels.shape
+    if residual and c_out != c_in:
+        raise ShapeError(f"a residual block needs C_out == C_in, got kernels {kernels.shape}")
+    height, width = x.shape[-2:]
+    out_shape = x.shape[:-3] + (c_out, height, width)
+
+    def pre_activation(cols=None):
+        pre = _correlate(x.data.reshape(-1, c_in, height, width), kernels.data, cols)
+        pre += bias.data[:, None, None]
+        return pre.reshape(out_shape)
+
+    pre = pre_activation()
+    neg = pre < 0
+    out = np.where(neg, slope.data * pre, pre)
+    if residual:
+        out += x.data
+
+    def vjp(g):
+        cols = _columns(x.data.reshape(-1, c_in, height, width), kh, kw)
+        g_pre, g_slope = _prelu_vjp(g, pre_activation(cols), neg, slope)
+        gx, gk, gb = _conv_vjp(g_pre.reshape(-1, c_out, height, width), kernels.data, cols)
+        gx = gx.reshape(x.shape)
+        return (g + gx if residual else gx), gk, gb, g_slope
+
+    return Tensor(out, _parents=(x, kernels, bias, slope), _vjp=vjp, _op="conv2d_prelu")
 
 
 def softmax_lastdim(x, mask: np.ndarray | None = None) -> Tensor:

@@ -27,10 +27,11 @@ from .errors import ConfigError
 from .model import map_groups, mu_trajectory, predict, sample_trajectory
 
 # Cap on the window-pedestrians (sum of N) of one inference group.  With
-# no tape, a forward pass peaks near 60 KB per window-pedestrian
-# (tracemalloc), a third of a training tape, so 48 needs about what a
-# training group of 12 does.  On the bench's sparse-crowd workload caps of
-# 24/48/96 gave 1092/1283/1270 eval windows/s at equal peak RSS.
+# no tape, a forward pass peaks near 51 KB per window-pedestrian
+# (tracemalloc), under a third of a training group's backward peak (170
+# KB), so 48 needs about what a training group of 15 does.  On the bench's
+# sparse-crowd workload caps of 24/48/96 gave 1092/1283/1270 eval
+# windows/s at equal peak RSS.
 INFER_GROUP_PEDESTRIANS = 48
 
 

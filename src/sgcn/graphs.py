@@ -56,7 +56,7 @@ def position_encoding_table(length: int, dim: int) -> np.ndarray:
 
 def embed_nodes(nodes, w, b, encoding: np.ndarray | None = None) -> Tensor:
     """Linear 2 -> D lift of coordinates, optionally offset by a position table."""
-    out = ad.matmul(ad.as_tensor(nodes), w) + b
+    out = ad.linear(nodes, w, b)
     if encoding is not None:
         out = out + encoding
     return out
@@ -70,7 +70,7 @@ def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | None 
     Keys carry no bias: it would add q_i.b_k to all of row i, which the
     row softmax cancels.
     """
-    q = ad.matmul(embeddings, w_q) + b_q
+    q = ad.linear(embeddings, w_q, b_q)
     k = ad.matmul(embeddings, w_k)
     scale = float(np.sqrt(q.shape[-1]))
     logits = ad.matmul(q, ad.swap_last2(k)) / scale

@@ -167,14 +167,26 @@ def map_groups(fn, scenes, budget: int, jobs: int = 1) -> list:
 
 
 def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
-    """One propagation step: receivers aggregate their influencers.
+    """One propagation step, ``prelu((A^T H) W, slope)``, as one tape node: receivers aggregate their influencers.
 
     Adjacency entry (i, j) weights i's influence on j, so features are
-    premultiplied by the transposed slices.
+    premultiplied by the transposed slices.  The node keeps A^T H and the
+    sign mask; its vjp recomputes the pre-activation (A^T H) W.
     """
     if adjacency.shape[-1] != features.shape[-2]:
         raise ShapeError(f"adjacency {adjacency.shape} cannot aggregate features {features.shape}")
-    return ad.prelu(ad.matmul(ad.matmul(ad.swap_last2(adjacency), features), weight), slope)
+    aggregated = ad._product(np.swapaxes(adjacency.data, -1, -2), features.data)
+    pre = ad._product(aggregated, weight.data)
+    neg = pre < 0
+
+    def vjp(g):
+        g_pre, g_slope = ad._prelu_vjp(g, aggregated @ weight.data, neg, slope)
+        g_aggregated, g_weight = ad._product_vjp(g_pre, aggregated, weight.data)
+        g_transposed, g_features = ad._product_vjp(g_aggregated, np.swapaxes(adjacency.data, -1, -2), features.data)
+        return np.swapaxes(g_transposed, -1, -2), g_features, g_weight, g_slope
+
+    return Tensor(np.where(neg, slope.data * pre, pre), _parents=(adjacency, features, weight, slope),
+                  _vjp=vjp, _op="gcn_layer")
 
 
 def interaction_tendency_branch(spa_adj: Tensor, tmp_adj: Tensor, h0_spa: Tensor, w: dict) -> Tensor:
@@ -202,11 +214,11 @@ def tcn_head(h: Tensor, weights: dict, cfg: ModelConfig) -> Tensor:
     axis (order must not matter) and ``conv_kernel`` wide on features.
     Equal-shape layers carry residual connections.
     """
-    x = ad.prelu(ad.conv2d_zero_pad(h, weights["tcn_conv0_k"], weights["tcn_conv0_b"]), weights["tcn_slope0"])
+    x = ad.conv2d_prelu(h, weights["tcn_conv0_k"], weights["tcn_conv0_b"], weights["tcn_slope0"])
     for layer in range(1, cfg.tcn_layers):
-        conv = ad.conv2d_zero_pad(x, weights[f"tcn_conv{layer}_k"], weights[f"tcn_conv{layer}_b"])
-        x = ad.prelu(conv, weights[f"tcn_slope{layer}"]) + x
-    return ad.matmul(x, weights["out_proj_w"]) + weights["out_proj_b"]
+        x = ad.conv2d_prelu(x, weights[f"tcn_conv{layer}_k"], weights[f"tcn_conv{layer}_b"],
+                            weights[f"tcn_slope{layer}"], residual=True)
+    return ad.linear(x, weights["out_proj_w"], weights["out_proj_b"])
 
 
 def forward(displacements, weights: dict, cfg: ModelConfig):

@@ -31,15 +31,16 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # Adam moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Cap on the window-pedestrians (sum of N) of one training group.  A
-# training tape holds about 188 KB per window-pedestrian (tracemalloc,
-# default ModelConfig, N = 6-12), so 24 caps a group's tape near 4.5 MB.
+# training tape holds about 109 KB per window-pedestrian after forward
+# and peaks near 170 KB in backward (tracemalloc, default ModelConfig, a
+# 12-window N = 2 group), since the linear, GCN and TCN-block layers are
+# one tape node each; so 48 caps a group's backward peak near 8 MB.
 # Larger groups pay only while freed tapes stay in the process
-# (_keep_freed_memory); without that, caps of 12/24/48 measured within
-# noise.  On the bench's sparse-crowd workload (N ~ 2, 2-core VM, 16
-# interleaved 10-s runs), a cap of 12 with memory returned gave 764
-# train windows/s at 50.9 MB peak RSS; 24 with memory kept gave 1057 at
-# 53.8 MB, and 48 about 1300 at 61 MB, over the bench's 10% RSS bound.
-TRAIN_GROUP_PEDESTRIANS = 24
+# (_keep_freed_memory).  On the bench's sparse-crowd workload (N ~ 2,
+# 2-core VM, 10 interleaved 30-s pairs), 48 gave a median 1327 train
+# windows/s at 57.5 MB peak RSS, against 1052 at 54.9 MB with 24 and the
+# composed layers.
+TRAIN_GROUP_PEDESTRIANS = 48
 
 
 def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
@@ -89,15 +90,30 @@ class Adam:
             p.requires_grad = True
 
     def step(self, lr: float, grad_scale: float = 1.0) -> None:
-        """One update from ``grad * grad_scale``; then zeroes ``grad``."""
+        """One update from ``grad * grad_scale``; then zeroes ``grad``.
+
+        The update runs in place: ``grad`` holds g, then g * g, then the
+        denominator, and one temporary holds (1 - b1) * g, then the update.
+        Each operation rounds as in ``m = b1 * m + (1 - b1) * g`` and the
+        other whole-array formulas.
+        """
         self.step_count += 1
-        g = self.grad * grad_scale
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step_count)
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step_count)
-        self.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        self.grad.fill(0.0)
+        g = self.grad
+        g *= grad_scale
+        work = (1.0 - ADAM_BETA1) * g
+        self.m *= ADAM_BETA1
+        self.m += work
+        g *= g
+        g *= 1.0 - ADAM_BETA2
+        self.v *= ADAM_BETA2
+        self.v += g
+        denominator = np.sqrt(np.divide(self.v, 1.0 - ADAM_BETA2 ** self.step_count, out=g), out=g)
+        denominator += ADAM_EPS
+        update = np.divide(self.m, 1.0 - ADAM_BETA1 ** self.step_count, out=work)
+        update *= lr
+        update /= denominator
+        self.data -= update
+        g.fill(0.0)
 
 
 def write_loss_log(rows, path) -> None:

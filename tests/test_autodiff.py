@@ -2,6 +2,7 @@
 
 import threading
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -136,6 +137,81 @@ class TestConv2d:
             lambda: ad.tsum(ad.conv2d_zero_pad(x, k, np.zeros(3)) * weights), {wrt: param}
         )
         assert errors[wrt] < 1e-4
+
+
+def composed_linear(x, w, b):
+    """The composed form of ``ad.linear``: the oracle for its output and gradients."""
+    return ad.matmul(x, w) + b
+
+
+def composed_conv2d_prelu(x, kernels, bias, slope, residual=False):
+    """The composed form of ``ad.conv2d_prelu``: the oracle for its output and gradients."""
+    out = ad.prelu(ad.conv2d_zero_pad(x, kernels, bias), slope)
+    return out + x if residual else out
+
+
+FUSED = {
+    "linear": (ad.linear, composed_linear),
+    "linear_constant_input": (ad.linear, composed_linear),
+    "conv2d_prelu": (ad.conv2d_prelu, composed_conv2d_prelu),
+    "conv2d_prelu_residual": (partial(ad.conv2d_prelu, residual=True), partial(composed_conv2d_prelu, residual=True)),
+}
+
+
+def fused_operands(name, seed):
+    """Operands of one FUSED case for a group of 3 windows; every leaf is trainable but a constant input's."""
+    rng = np.random.default_rng(seed)
+    if name.startswith("linear"):
+        x = ad.Tensor(rng.uniform(-1.0, 1.0, (3, 4, 2, 5)), requires_grad=name == "linear")
+        return [x, rand(rng, 5, 6), rand(rng, 6)]
+    c_out = 4 if name.endswith("residual") else 6  # the head's first block maps T_obs to T_pred channels
+    return [rand(rng, 3, 4, 2, 5), rand(rng, c_out, 4, 1, 3), rand(rng, c_out), ad.Tensor(0.25, requires_grad=True)]
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_gradients_match_central_differences(self, name):
+        fused, _ = FUSED[name]
+        operands = fused_operands(name, seed=zlib.crc32(name.encode()))
+        if name.startswith("conv2d_prelu"):  # both PReLU branches, so the slope gradient is exercised
+            pre = ad.conv2d_zero_pad(*operands[:3]).data
+            assert (pre < 0).any() and (pre > 0).any()
+        weights = np.random.default_rng(1).normal(size=fused(*operands).shape)
+        params = {f"operand{i}": op for i, op in enumerate(operands) if op.requires_grad}
+        errors = ad.finite_diff_check_params(lambda: ad.tsum(fused(*operands) * weights), params)
+        assert max(errors.values()) < 1e-4, errors
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_equals_the_composed_layer_bit_for_bit(self, name):
+        fused, composed = FUSED[name]
+        got, want = fused_operands(name, seed=2), fused_operands(name, seed=2)
+        out, ref = fused(*got), composed(*want)
+        assert np.array_equal(out.data, ref.data)
+        weights = np.random.default_rng(3).normal(size=out.shape)
+        ad.backward(ad.tsum(out * weights))
+        ad.backward(ad.tsum(ref * weights))
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert (a.grad is None) == (b.grad is None) == (not a.requires_grad), i
+            assert a.grad is None or np.array_equal(a.grad, b.grad), i
+
+    def test_linear_computes_no_gradient_for_a_constant_input(self):
+        x, w, b = fused_operands("linear_constant_input", seed=4)
+        out = ad.linear(x, w, b)
+        gx, gw, gb = out._vjp(np.ones(out.shape))
+        assert gx is None and gw.shape == w.shape and gb.shape == b.shape
+
+    def test_operand_checks(self):
+        x = ad.Tensor(np.ones((2, 3, 3)))
+        with pytest.raises(ConfigError):  # conv2d_zero_pad's checks
+            ad.conv2d_prelu(x, ad.Tensor(np.ones((2, 2, 2, 2))), np.zeros(2), 0.25)
+        with pytest.raises(ShapeError):
+            ad.conv2d_prelu(x, ad.Tensor(np.ones((2, 3, 1, 1))), np.zeros(2), 0.25)
+        with pytest.raises(ShapeError, match="residual"):
+            ad.conv2d_prelu(x, ad.Tensor(np.ones((3, 2, 1, 1))), np.zeros(3), 0.25, residual=True)
+        with pytest.raises(ShapeError):
+            ad.linear(x, ad.Tensor(np.ones((3, 4))), np.zeros(3))
+        with pytest.raises(ShapeError):
+            ad.linear(x, ad.Tensor(np.ones((2, 4))), np.zeros(4))
 
 
 class TestSoftmax:

@@ -1,5 +1,6 @@
 """Aggregation branches, prediction head, the grouped-pass runner, sampling, and checkpoints."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,40 @@ def prelu_np(x, slope):
     return np.where(x < 0, slope * x, x)
 
 
+def composed_gcn_layer(adjacency, features, weight, slope):
+    """The composed form of ``mm.gcn_layer``: the oracle for its output and gradients."""
+    return ad.prelu(ad.matmul(ad.matmul(ad.swap_last2(adjacency), features), weight), slope)
+
+
+def gcn_operands(seed):
+    """Trainable GCN operands for a group of 2 windows: adjacency [2, T=3, N=4, N], features [2, 3, 4, D=5]."""
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.uniform(0.0, 1.0, (2, 3, 4, 4)), requires_grad=True),
+            Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True),
+            Tensor(rng.normal(size=(5, 5)) * 0.5, requires_grad=True),
+            Tensor(0.25, requires_grad=True)]
+
+
 class TestGcnLayer:
+    def test_gradients_match_central_differences(self):
+        operands = gcn_operands(seed=10)
+        pre = np.swapaxes(operands[0].data, -1, -2) @ operands[1].data @ operands[2].data
+        assert (pre < 0).any() and (pre > 0).any()  # both PReLU branches, so the slope gradient is exercised
+        weights = np.random.default_rng(11).normal(size=pre.shape)
+        params = dict(zip(("adjacency", "features", "weight", "slope"), operands))
+        errors = ad.finite_diff_check_params(lambda: ad.tsum(mm.gcn_layer(*operands) * weights), params)
+        assert max(errors.values()) < 1e-4, errors
+
+    def test_equals_the_composed_layer_bit_for_bit(self):
+        got, want = gcn_operands(seed=12), gcn_operands(seed=12)
+        out, ref = mm.gcn_layer(*got), composed_gcn_layer(*want)
+        assert np.array_equal(out.data, ref.data)
+        weights = np.random.default_rng(13).normal(size=out.shape)
+        ad.backward(ad.tsum(out * weights))
+        ad.backward(ad.tsum(ref * weights))
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a.grad, b.grad), i
+
     def test_identity_propagation(self):
         h = Tensor(np.abs(np.random.default_rng(0).normal(size=(3, 4))))
         out = mm.gcn_layer(Tensor(np.eye(3)), h, Tensor(np.eye(4)), Tensor(0.25))
@@ -330,16 +364,20 @@ class TestFiniteExits:
         mm.map_groups(one_pass, scenes, 6)
         assert groups == [[0, 1]]
         assert sorted(checked) == ["gate features", "gate features", "tcn_head"]
-        # outside the runner, every primitive checks its output
+        # outside the runner, every primitive checks its output: each node
+        # of the value tape, and the gate-feature convs off it
         checked.clear()
-        mm.forward(scenes[0].displacements_obs, w, cfg)
+        raw, _, _ = mm.forward(scenes[0].displacements_obs, w, cfg)
+        on_tape = Counter(node._op for node in ad._toposort(raw) if node._vjp is not None)
+        assert {"linear", "gcn_layer", "conv2d_prelu"} <= set(on_tape)
+        assert not on_tape - Counter(checked)
         assert len(checked) > 100
 
     @pytest.mark.parametrize("param, op, stage", [
         ("spa_conv6_col_b", "conv2d", "spatial_graph"),
         ("tmp_conv6_col_b", "conv2d", "temporal_graph"),
-        ("gcn_tmp2_w", "matmul", "branches"),
-        ("tcn_conv3_b", "conv2d", "tcn_head"),
+        ("gcn_tmp2_w", "gcn_layer", "branches"),
+        ("tcn_conv3_b", "conv2d_prelu", "tcn_head"),
     ])
     def test_nan_parameter_names_op_and_stage(self, param, op, stage):
         cfg = ModelConfig()
