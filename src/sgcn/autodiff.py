@@ -507,23 +507,19 @@ def conv2d_prelu(x, kernels, bias, slope, residual: bool = False) -> Tensor:
     return Tensor(out, _parents=(x, kernels, bias, slope), _vjp=vjp, _op="conv2d_prelu")
 
 
-def softmax_lastdim(x, mask: np.ndarray | None = None) -> Tensor:
+def softmax_lastdim(x, mask: np.ndarray | bool = True) -> Tensor:
     """Numerically stable softmax over the last axis.
 
-    ``mask`` is a constant boolean array broadcastable to x's shape;
-    False positions get probability exactly 0 and the remaining entries
-    of each row renormalize.  Every row must keep at least one entry: a
-    fully masked row divides 0 by 0, and the NaN it yields fails the
-    'softmax' op's finiteness check.
+    ``mask`` is a constant boolean array broadcastable to x's shape (by
+    default nothing is masked); False positions get probability exactly
+    0 and the remaining entries of each row renormalize.  Every row must
+    keep at least one entry: a fully masked row divides 0 by 0, and the
+    NaN it yields fails the 'softmax' op's finiteness check.
     """
     x = as_tensor(x)
-    if mask is None:
-        shifted = x.data - x.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        masked = np.where(mask, x.data, -np.inf)
-        e = np.where(mask, np.exp(x.data - masked.max(axis=-1, keepdims=True)), 0.0)
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    masked = np.where(mask, x.data, -np.inf)
+    e = np.where(mask, np.exp(x.data - masked.max(axis=-1, keepdims=True)), 0.0)
     out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
@@ -585,13 +581,14 @@ def backward(loss: Tensor) -> None:
 # finite-difference self-check
 
 
-def finite_diff_check_params(loss_fn, params, h: float = 1e-4) -> dict:
+def finite_diff_check_params(loss_fn, params) -> dict:
     """Compare analytic gradients of scalar ``loss_fn()`` against central differences.
 
     ``params`` maps name -> leaf Tensor; each is marked requires_grad and
-    every element is perturbed in place and restored.  Returns name -> max
-    over elements of |analytic - central| / (|central| + 1e-8).
+    every element is perturbed in place by +-1e-4 and restored.  Returns
+    name -> max over elements of |analytic - central| / (|central| + 1e-8).
     """
+    h = 1e-4
     for p in params.values():
         p.requires_grad = True
         p.zero_grad()

@@ -171,7 +171,7 @@ def cmd_predict(run: RunConfig, explicit: set) -> int:
         raise ConfigError(f"num_samples must be >= 0, got {run.num_samples}")
     weights, cfg = _load_weights(run, explicit)
     scene = _load_scene_input(run, cfg.t_obs)
-    [params] = map_groups(lambda _: [predict(scene.displacements_obs, weights, cfg)], [scene], scene.n_pedestrians)
+    [params] = map_groups(lambda _: [predict(scene.displacements_obs, weights, cfg)], [scene])
     out = _prepare_out(run, cfg)
     last = scene.positions_obs[-1]
     samples = sample_trajectory(params, last, np.random.default_rng(run.seed), run.num_samples)
@@ -208,9 +208,7 @@ def predictions_text(ids, obs, mu_path, params, samples) -> str:
 def cmd_dump_graphs(run: RunConfig, explicit: set) -> int:
     weights, cfg = _load_weights(run, explicit)
     scene = _load_scene_input(run, cfg.t_obs)
-    [(_, spatial, temporal)] = map_groups(
-        lambda _: [forward(scene.displacements_obs, weights, cfg)], [scene], scene.n_pedestrians
-    )
+    [(_, spatial, temporal)] = map_groups(lambda _: [forward(scene.displacements_obs, weights, cfg)], [scene])
     out = _prepare_out(run, cfg)
     ids = scene.pedestrian_ids
 

@@ -6,7 +6,7 @@ K trajectories per scene and keeps, per pedestrian, the sample with the
 smallest ADE; that same sample supplies the pedestrian's FDE.
 
 ``model.map_groups`` groups scenes of equal pedestrian count (see
-INFER_GROUP_PEDESTRIANS) and each group runs one forward pass on
+``model.GROUP_PEDESTRIANS``) and each group runs one forward pass on
 constant weights, so inference records no autodiff tape.  Worker
 threads take whole groups.  Each scene owns a spawned child seed and
 its forward output does not depend on its group, so results are
@@ -25,14 +25,6 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import ConfigError
 from .model import map_groups, mu_trajectory, predict, sample_trajectory
-
-# Cap on the window-pedestrians (sum of N) of one inference group.  With
-# no tape, a forward pass peaks near 51 KB per window-pedestrian
-# (tracemalloc), under a third of a training group's backward peak (170
-# KB), so 48 needs about what a training group of 15 does.  On the bench's
-# sparse-crowd workload caps of 24/48/96 gave 1092/1283/1270 eval
-# windows/s at equal peak RSS.
-INFER_GROUP_PEDESTRIANS = 48
 
 
 def ade(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -81,7 +73,7 @@ def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
         params = predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg)
         return [score(i, params.window(b)) for b, i in enumerate(group)]
 
-    return map_groups(run, scenes, INFER_GROUP_PEDESTRIANS, jobs)
+    return map_groups(run, scenes, jobs)
 
 
 def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int = 0, jobs: int = 1) -> MetricsReport:

@@ -62,7 +62,7 @@ def embed_nodes(nodes, w, b, encoding: np.ndarray | None = None) -> Tensor:
     return out
 
 
-def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | None = None) -> Tensor:
+def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | bool = True) -> Tensor:
     """Row-stochastic scaled dot-product scores over the second-to-last axis.
 
     Masked (False) positions get score exactly 0; rows renormalize over

@@ -37,6 +37,17 @@ SIGMA_FLOOR = 1e-8
 # excursions without affecting any realistic scale (e^30 ~ 1e13 meters)
 LOG_SIGMA_MAX = 30.0
 RHO_LIMIT = 1.0 - 1e-6
+# Cap on the window-pedestrians (sum of N) of one map_groups group, in
+# training and inference alike.  Per window-pedestrian, a training tape
+# peaks near 170 KB in backward and a tape-free forward pass near 51 KB
+# (tracemalloc, default ModelConfig, a 12-window N = 2 group), so 48 caps
+# a training group near 8 MB.  Larger groups pay only while freed tapes
+# stay in the process (training._keep_freed_memory).  On the bench's
+# sparse-crowd workload (N ~ 2, 2-core VM, interleaved 30-s runs), 48 gave
+# a median 1327 train windows/s at 57.5 MB peak RSS against 1052 at 54.9
+# MB with 24; caps of 24/48/96 gave 1092/1283/1270 eval windows/s at
+# equal peak RSS.
+GROUP_PEDESTRIANS = 48
 
 
 @dataclass
@@ -126,17 +137,19 @@ def group_by_size(sizes, budget: int) -> list:
     return groups
 
 
-def map_groups(fn, scenes, budget: int, jobs: int = 1) -> list:
-    """``fn(group)`` on each equal-N group of ``scenes`` (``group_by_size``); the results in scene order.
+def map_groups(fn, scenes, jobs: int = 1) -> list:
+    """``fn(group)`` on each equal-N group of ``scenes``; the results in scene order.
 
-    ``fn`` gets a group's window indices and returns one result per index.
-    It runs inside ``autodiff.scope(deferred=True)``, so only the arrays
-    that leave the tape are checked; ``jobs`` threads take whole groups.
-    If a group raises NumericsError, its windows are rerun one at a time
-    with per-op checks on, and the first that fails alone raises its
-    error (op and stage) prefixed with ``scene NAME@frameF (N=n): ``;
-    else the group's error is re-raised.  The rerun calls the same
-    ``fn``, so windows that pass alone repeat its side effects.
+    Groups come from ``group_by_size`` at ``GROUP_PEDESTRIANS``, so a lone
+    window of any size is one group.  ``fn`` gets a group's window
+    indices and returns one result per index.  It runs inside
+    ``autodiff.scope(deferred=True)``, so only the arrays that leave the
+    tape are checked; ``jobs`` threads take whole groups.  If a group
+    raises NumericsError, its windows are rerun one at a time with per-op
+    checks on, and the first that fails alone raises its error (op and
+    stage) prefixed with ``scene NAME@frameF (N=n): ``; else the group's
+    error is re-raised.  The rerun calls the same ``fn``, so windows that
+    pass alone repeat its side effects.
     """
     def run(group):
         try:
@@ -153,7 +166,7 @@ def map_groups(fn, scenes, budget: int, jobs: int = 1) -> list:
                     ) from err
             raise
 
-    groups = group_by_size([s.n_pedestrians for s in scenes], budget)
+    groups = group_by_size([s.n_pedestrians for s in scenes], GROUP_PEDESTRIANS)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(run, groups))

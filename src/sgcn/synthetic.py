@@ -83,12 +83,12 @@ def write_scene_file(path, rows) -> None:
             fh.write(f"{frame} {pid} {x!r} {y!r}\n")
 
 
-def write_dataset(data_root, n_steps: int = 520, seeds: dict | None = None) -> dict:
+def write_dataset(data_root, n_steps: int = 520) -> dict:
     """Write one file per scene under ``data_root``; returns name -> path."""
     root = Path(data_root)
     root.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for name, seed in (seeds or SCENE_SEEDS).items():
+    for name, seed in SCENE_SEEDS.items():
         path = root / f"{name.lower()}.txt"
         write_scene_file(path, generate_scene_rows(seed, n_steps=n_steps))
         paths[name] = path

@@ -30,17 +30,6 @@ logger = logging.getLogger(__name__)
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Adam moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Cap on the window-pedestrians (sum of N) of one training group.  A
-# training tape holds about 109 KB per window-pedestrian after forward
-# and peaks near 170 KB in backward (tracemalloc, default ModelConfig, a
-# 12-window N = 2 group), since the linear, GCN and TCN-block layers are
-# one tape node each; so 48 caps a group's backward peak near 8 MB.
-# Larger groups pay only while freed tapes stay in the process
-# (_keep_freed_memory).  On the bench's sparse-crowd workload (N ~ 2,
-# 2-core VM, 10 interleaved 30-s pairs), 48 gave a median 1327 train
-# windows/s at 57.5 MB peak RSS, against 1052 at 54.9 MB with 24 and the
-# composed layers.
-TRAIN_GROUP_PEDESTRIANS = 48
 
 
 def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
@@ -166,10 +155,10 @@ def train(
     """Optimize over windows; returns (weights, loss rows).
 
     Loss rows are (epoch, optimizer_step, mean window NLL, lr).  When
-    paths are given, a checkpoint is rewritten after every epoch and the
-    loss log at the end, both usable mid-run.  A NumericsError names the
-    window that fails alone (``model.map_groups``); windows rerun before
-    it also run ``backward``, which is harmless, as the run aborts.
+    paths are given, the checkpoint and then the loss log are rewritten
+    after every epoch, so both are usable mid-run.  A NumericsError names
+    the window that fails alone (``model.map_groups``); windows rerun
+    before it also run ``backward``, which is harmless, as the run aborts.
     The first call sets glibc to keep freed memory for the rest of the
     process (``_keep_freed_memory``), so later groups reuse the freed
     tapes of earlier ones; with another C library it changes nothing.
@@ -194,12 +183,12 @@ def train(
                 return losses.data
 
             # permutation order: the row mean ignores the grouping
-            losses = map_groups(backward_group, window, TRAIN_GROUP_PEDESTRIANS)
+            losses = map_groups(backward_group, window)
             optimizer.step(lr, grad_scale=1.0 / len(window))
             rows.append((epoch, len(rows) + 1, float(np.mean(losses)), lr))
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, weights, model_cfg)
+        if loss_log_path is not None:
+            write_loss_log(rows, loss_log_path)
         logger.info("epoch %d done, lr %.2e, last window nll %.4f", epoch, lr, rows[-1][2])
-    if loss_log_path is not None:
-        write_loss_log(rows, loss_log_path)
     return weights, rows

@@ -58,9 +58,7 @@ def test_c1_gradient_correctness_primitives_and_full_model():
     rng = np.random.default_rng(GRAD_JITTER_SEED)
     for p in weights.values():
         p.data += rng.uniform(-0.2, 0.2, size=p.shape)
-    errors = ad.finite_diff_check_params(
-        lambda: tr.group_loss([scene], weights, GRAD_CFG), weights, h=1e-4
-    )
+    errors = ad.finite_diff_check_params(lambda: tr.group_loss([scene], weights, GRAD_CFG), weights)
     worst = max(errors, key=errors.get)
     assert errors[worst] < 1e-4, f"{worst}: {errors[worst]:.3e}"
     assert time.monotonic() - start < 60.0

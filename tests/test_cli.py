@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgcn
@@ -700,6 +700,7 @@ class TestPredictCommand:
         assert cli.predictions_text(*args) == per_scalar_predictions_text(*args)
 
     @given(st.integers(1, 9), st.integers(1, 13), st.integers(0, 25), ID_LISTS, st.integers(0, 2**32 - 1))
+    @example(8, 12, 2, list(range(sgcn_model.GROUP_PEDESTRIANS + 2)), 5)  # a window above the group cap
     @settings(max_examples=12, deadline=None)
     def test_predictions_csv_matches_per_scalar_rows(self, t_obs, t_pred, k, ids, seed):
         # t_obs and t_pred come from the checkpoint's config, not the defaults
@@ -783,7 +784,7 @@ class TestDumpGraphsCommand:
             asym.append(float(rows[0][1]) != float(rows[1][0]))
         assert any(asym)
 
-    @pytest.mark.parametrize("n", [1, 3, 45])
+    @pytest.mark.parametrize("n", [1, 3, 45, sgcn_model.GROUP_PEDESTRIANS + 2])  # the last is above the group cap
     def test_graphs_txt_matches_per_scalar_entries(self, overfit_run, tmp_path, n):
         rng = np.random.default_rng(n)
         ids = sorted(rng.choice(2**62, n, replace=False).tolist())

@@ -492,7 +492,7 @@ class TestSplit:
         assert str(tmp_path / "ETH.txt") in str(info.value)
 
     def test_single_scene_degenerate_split_warns(self, tmp_path, caplog):
-        synthetic.write_dataset(tmp_path, n_steps=40, seeds={"ETH": 1})
+        synthetic.write_scene_file(tmp_path / "eth.txt", synthetic.generate_scene_rows(1, n_steps=40))
         tables = dd.load_dataset(tmp_path)
         with caplog.at_level("WARNING", logger="sgcn.data"):
             split = dd.leave_one_out_split(tables, "ETH", 8, 12)

@@ -179,12 +179,12 @@ class TestBestOfK:
     def test_grouped_report_matches_per_scene_loop(self, tmp_path, jobs):
         # equal-N groups, one split by the budget and one window above it,
         # against one single-window forward pass per scene, bytes included
-        sizes = [2, 3, 2, 2, 3] * 10 + [ev.INFER_GROUP_PEDESTRIANS + 1, 2, 3]
+        sizes = [2, 3, 2, 2, 3] * 10 + [mm.GROUP_PEDESTRIANS + 1, 2, 3]
         scenes = []
         for i, n in enumerate(sizes):
             pos = fixture_positions(np.full((n, 2), 0.3), np.arange(2.0 * n).reshape(n, 2), seed=i, steps=7)
             scenes.append(sgcn_data.TrajectoryScene(tuple(range(n)), pos[:4], pos[4:], scene_name=f"S{i % 3}"))
-        groups = mm.group_by_size(sizes, ev.INFER_GROUP_PEDESTRIANS)
+        groups = mm.group_by_size(sizes, mm.GROUP_PEDESTRIANS)
         assert [50] in groups and max(len(g) for g in groups) == 24
         weights = init_weights(SMALL_CFG, seed=4)
         k, seed = 5, 8

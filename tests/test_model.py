@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,7 +209,8 @@ def test_map_groups_returns_the_per_window_loop_in_scene_order(sizes, budget, jo
         stacked = np.stack([scenes[i].displacements_obs for i in group])  # equal N, or this raises
         return [(i, stacked[b].tobytes()) for b, i in enumerate(group)]
 
-    got = mm.map_groups(fn, scenes, budget, jobs)
+    with mock.patch.object(mm, "GROUP_PEDESTRIANS", budget):  # a monkeypatch fixture trips Hypothesis' health check
+        got = mm.map_groups(fn, scenes, jobs)
     assert deferred == [True] * len(mm.group_by_size(sizes, budget))
     assert not ad._state.deferred
     assert got == [fn([i])[0] for i in range(len(scenes))]
@@ -219,7 +221,7 @@ def test_nan_window_in_a_later_group_is_named_with_two_threads():
     weights = mm.init_weights(cfg, seed=3)
     scenes = observed_windows([2, 3, 2, 3, 4, 4], seed=5)
     scenes[5] = replace(scenes[5], positions_obs=np.full_like(scenes[5].positions_obs, np.nan), scene_name="BAD")
-    assert mm.group_by_size([s.n_pedestrians for s in scenes], 8) == [[0, 2], [1, 3], [4, 5]]
+    assert mm.group_by_size([s.n_pedestrians for s in scenes], mm.GROUP_PEDESTRIANS) == [[0, 2], [1, 3], [4, 5]]
 
     def fn(group):
         params = mm.predict(np.stack([scenes[i].displacements_obs for i in group]), weights, cfg)
@@ -228,7 +230,7 @@ def test_nan_window_in_a_later_group_is_named_with_two_threads():
     with pytest.raises(NumericsError, match=(
         r"^scene BAD@frame5 \(N=4\): non-finite values produced by 'tensor' in stage 'spatial_graph'$"
     )):
-        mm.map_groups(fn, scenes, 8, jobs=2)
+        mm.map_groups(fn, scenes, jobs=2)
 
 
 def test_group_error_is_reraised_when_no_window_fails_alone():
@@ -238,7 +240,7 @@ def test_group_error_is_reraised_when_no_window_fails_alone():
         return group
 
     with pytest.raises(NumericsError, match="^only together$"):
-        mm.map_groups(fn, observed_windows([2, 2], seed=1), 4)
+        mm.map_groups(fn, observed_windows([2, 2], seed=1))
 
 
 class TestTcnHead:
@@ -361,7 +363,7 @@ class TestFiniteExits:
             return group
 
         monkeypatch.setattr(ad, "_check_finite", spy)
-        mm.map_groups(one_pass, scenes, 6)
+        mm.map_groups(one_pass, scenes)
         assert groups == [[0, 1]]
         assert sorted(checked) == ["gate features", "gate features", "tcn_head"]
         # outside the runner, every primitive checks its output: each node

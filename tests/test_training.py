@@ -264,6 +264,29 @@ class TestTrainLoop:
         for name in weights:
             assert np.array_equal(loaded[name].data, weights[name].data)
 
+    def test_run_stopped_mid_way_leaves_the_last_epochs_checkpoint_and_log(self, tmp_path, monkeypatch):
+        # the second epoch's checkpoint write fails: the first epoch's checkpoint and log rows remain
+        saves = []
+
+        def fail_second_save(path, weights, cfg):
+            saves.append(path)
+            if len(saves) == 2:
+                raise OSError("disk full")
+            mm.save_checkpoint(path, weights, cfg)
+
+        monkeypatch.setattr(tr, "save_checkpoint", fail_second_save)
+        ckpt, log = tmp_path / "w.ckpt", tmp_path / "loss_log.csv"
+        with pytest.raises(OSError, match="disk full"):
+            tr.train(small_scenes(), SMALL_CFG, TrainConfig(epochs=3, batch_size=1),
+                     checkpoint_path=ckpt, loss_log_path=log)
+        weights, rows = tr.train(small_scenes(), SMALL_CFG, TrainConfig(epochs=1, batch_size=1))
+        assert [r[:2] for r in rows] == [(0, 1), (0, 2)]
+        tr.write_loss_log(rows, tmp_path / "want.csv")
+        assert log.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        loaded, _ = load_checkpoint(ckpt)
+        for name in weights:
+            assert np.array_equal(loaded[name].data, weights[name].data), name
+
     def test_training_from_loaded_checkpoint_learns(self, tmp_path):
         # loaded weights are constants; train() makes them trainable again
         path = tmp_path / "w.ckpt"
@@ -297,7 +320,7 @@ class TestTrainLoop:
             positions_fut=good[0].positions_fut,
             scene_name="BADSCENE",
         )
-        assert len(group_by_size([3, 3, 3], tr.TRAIN_GROUP_PEDESTRIANS)) == 1
+        assert len(group_by_size([3, 3, 3], mm.GROUP_PEDESTRIANS)) == 1
         with pytest.raises(NumericsError, match=r"^scene BADSCENE@frame0 \(N=3\)"):
             tr.train(good + [bad], SMALL_CFG, TrainConfig(epochs=1, batch_size=8))
 
@@ -394,7 +417,7 @@ def mixed_scenes(sizes, seed):
 def test_group_losses_and_gradients_match_per_window():
     # mixed N, a split N=2 run (two windows more than one group holds), and one window above the training budget
     cfg = ModelConfig()
-    budget = tr.TRAIN_GROUP_PEDESTRIANS
+    budget = mm.GROUP_PEDESTRIANS
     sizes = [2, 3, 2, 1, 2, budget + 1, 3, 2, 2, 1, 2, 2, 2, 3] + [2] * (budget // 2 - 6)
     scenes = mixed_scenes(sizes, seed=21)
     groups = group_by_size(sizes, budget)
