@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 ZERO_SOFTMAX_EPS = 1e-12
 
@@ -82,12 +82,46 @@ def asymmetric_conv_features(x: Tensor, layers) -> Tensor:
 
     ``layers`` is a sequence of (row_k, row_b, col_k, col_b, slope).
     Input is [C, H, W] or batched [B, C, H, W]; shape is preserved.
+
+    The features only feed ``sparse_mask``'s hard threshold, which
+    backward never crosses, so the cascade runs off the tape on plain
+    arrays and returns a constant Tensor: no layer records a node or keeps
+    its input for a vjp.  Each kernel extent gets one zero-bordered
+    buffer per call; each layer writes its input into the interior and
+    cuts the im2col columns from it.  The gemms, bias adds, sum and PReLU
+    are those of ``conv2d_zero_pad``, ``add`` and ``prelu``, so the output
+    is the same to the bit.  A buffer is padded just as
+    ``conv2d_zero_pad`` pads for that kernel, because the columns'
+    strides pick numpy's matmul path: for one channel, an (Sx1) kernel's
+    columns are an overlapping view that numpy multiplies without BLAS.
+    Unless checks are deferred, each conv, sum and PReLU output is checked
+    under that primitive's name.
     """
+    c, height, width = x.shape[-3:]
+    out = x.data.reshape(-1, c, height, width)
+    buffers = {}  # (kh, kw) -> zero-bordered buffer
+
+    def conv(layer_in, kernels, bias):
+        ad._check_conv(x, kernels, bias)
+        if kernels.shape[0] != c:
+            raise ShapeError(f"cascade kernels must keep the {c} channels, got {kernels.shape}")
+        kh, kw = kernels.shape[2:]
+        padded = buffers.get((kh, kw))
+        if padded is None:
+            padded = buffers[kh, kw] = np.zeros((len(layer_in), c, height + kh - 1, width + kw - 1))
+        padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width] = layer_in
+        f = ad._correlate(layer_in, kernels.data, ad._im2col(padded, kh, kw))
+        f += bias.data[:, None, None]
+        ad._check_op(f, "conv2d")
+        return f
+
     for row_k, row_b, col_k, col_b, slope in layers:
-        f_row = ad.conv2d_zero_pad(x, row_k, row_b)
-        f_col = ad.conv2d_zero_pad(x, col_k, col_b)
-        x = ad.prelu(f_row + f_col, slope)
-    return x
+        out, f_col = conv(out, row_k, row_b), conv(out, col_k, col_b)
+        out += f_col
+        ad._check_op(out, "add")
+        out *= ad._prelu_factor(out < 0, slope)
+        ad._check_op(out, "prelu")
+    return Tensor(out.reshape(x.shape))
 
 
 def sparse_mask(features: np.ndarray, xi: float) -> np.ndarray:

@@ -189,8 +189,9 @@ def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor
     if adjacency.shape[-1] != features.shape[-2]:
         raise ShapeError(f"adjacency {adjacency.shape} cannot aggregate features {features.shape}")
     aggregated = ad._product(np.swapaxes(adjacency.data, -1, -2), features.data)
-    pre = ad._product(aggregated, weight.data)
-    neg = pre < 0
+    out = ad._product(aggregated, weight.data)
+    neg = out < 0
+    out *= ad._prelu_factor(neg, slope)
 
     def vjp(g):
         g_pre, g_slope = ad._prelu_vjp(g, aggregated @ weight.data, neg, slope)
@@ -198,8 +199,7 @@ def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor
         g_transposed, g_features = ad._product_vjp(g_aggregated, np.swapaxes(adjacency.data, -1, -2), features.data)
         return np.swapaxes(g_transposed, -1, -2), g_features, g_weight, g_slope
 
-    return Tensor(np.where(neg, slope.data * pre, pre), _parents=(adjacency, features, weight, slope),
-                  _vjp=vjp, _op="gcn_layer")
+    return Tensor(out, _parents=(adjacency, features, weight, slope), _vjp=vjp, _op="gcn_layer")
 
 
 def interaction_tendency_branch(spa_adj: Tensor, tmp_adj: Tensor, h0_spa: Tensor, w: dict) -> Tensor:

@@ -295,6 +295,77 @@ class TestPointwise:
                 ad.div(ad.Tensor(1.0), ad.Tensor(0.0))
 
 
+def where_sigmoid(data):
+    """The split-by-sign sigmoid that ``ad._sigmoid`` replaced: the oracle for its bits."""
+    out = np.empty_like(data)
+    pos = data >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-data[pos]))
+    e = np.exp(data[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def where_prelu_vjp(g, pre, slope):
+    """The ``np.where`` PReLU gradients that ``ad._prelu_vjp`` replaced: the oracle for their bits."""
+    neg = pre < 0
+    return np.where(neg, slope, 1.0) * g, ad._unbroadcast(np.where(neg, pre, 0.0) * g, ())
+
+
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+EDGES = np.array([0.0, -0.0, TINY, -TINY, 1e-310, -1e-310, 2.2250738585072014e-308, -1.0, 1.0, 1e300, -1e300])
+SELECT_INPUTS = [EDGES, np.random.default_rng(11).normal(size=(3, 4, 5, 6)),
+                 np.random.default_rng(12).normal(scale=50.0, size=(7, 64))]
+
+
+class TestBranchFreeSelects:
+    """The gather-based PReLU and the exp(-|x|) sigmoid keep every bit of the np.where forms they replaced."""
+
+    @pytest.mark.parametrize("slope", [0.25, 0.0, -0.7, 1.3, 1e-300])
+    @pytest.mark.parametrize("case", range(len(SELECT_INPUTS) + 1))
+    def test_prelu_forward_bits(self, case, slope):
+        x = SELECT_INPUTS[case] if case < len(SELECT_INPUTS) else np.array([np.inf, -np.inf, np.nan, -np.nan])
+        with np.errstate(all="ignore"), ad.scope(deferred=True):
+            out = ad.prelu(ad.Tensor(x), ad.Tensor(slope)).data
+            want = np.where(x < 0, slope * x, x)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.25, 0.0, -0.7, 1e-300])
+    @pytest.mark.parametrize("case", range(len(SELECT_INPUTS)))
+    def test_prelu_gradient_bits(self, case, slope):
+        pre = SELECT_INPUTS[case]
+        g = np.random.default_rng(13).normal(size=pre.shape)
+        for upstream in (np.ones_like(pre), g, np.asfortranarray(g)):  # the last laid out as a transposed gradient
+            with np.errstate(all="ignore"):
+                gx, gs = ad._prelu_vjp(upstream, pre, pre < 0, ad.Tensor(slope))
+                want_x, want_s = where_prelu_vjp(upstream, pre, slope)
+            assert gx.tobytes() == want_x.tobytes()
+            assert np.float64(gs).tobytes() == np.float64(want_s).tobytes()
+
+    @pytest.mark.parametrize("case", range(len(SELECT_INPUTS) + 1))
+    def test_sigmoid_bits(self, case):
+        extremes = np.array([800.0, -800.0, np.inf, -np.inf, 745.0, -745.0])
+        x = SELECT_INPUTS[case] if case < len(SELECT_INPUTS) else extremes
+        with np.errstate(all="ignore"):
+            assert ad._sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+    def test_non_scalar_slope_rejected(self):
+        with pytest.raises(ShapeError, match="scalar"):
+            ad.prelu(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.full(3, 0.25)))
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_elementwise_vjp_skips_a_constant_operand(self, op):
+        rng = np.random.default_rng(14)
+        trainable, constant = rand(rng, 3, 4), ad.Tensor(rng.uniform(1.0, 2.0, 4))
+        for a, b in ((trainable, constant), (constant, trainable)):
+            out = op(a, b)
+            grads = out._vjp(rng.normal(size=out.shape))
+            assert [g is None for g in grads] == [not a.requires_grad, not b.requires_grad]
+            got = grads[0] if a.requires_grad else grads[1]
+            assert got.shape == trainable.shape
+
+
 class TestCheckScope:
     def test_stage_is_named_in_the_message(self):
         with pytest.raises(NumericsError, match=r"^non-finite values produced by 'exp' in stage 'branches'$"):

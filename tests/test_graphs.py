@@ -11,7 +11,7 @@ from sgcn import graphs as gg
 from sgcn import model as mm
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig
-from sgcn.errors import ConfigError, NumericsError
+from sgcn.errors import ConfigError, NumericsError, ShapeError
 
 CFG = ModelConfig()
 
@@ -194,6 +194,52 @@ class TestAsymmetricConv:
 
         out = gg.asymmetric_conv_features(Tensor(x), layers)
         assert_allclose(out.data, naive(x, layers), atol=1e-12)
+
+    # (prefix, N, B): the bench's window sizes, N = 1..5 in groups of
+    # B * N <= 48 pedestrians and a dense-crowd N = 45 alone
+    BENCH_SHAPES = [(prefix, n, 48 // n) for prefix in ("spa", "tmp") for n in range(1, 6)]
+    BENCH_SHAPES += [("spa", 45, 1), ("tmp", 45, 1)]
+
+    @pytest.mark.parametrize("prefix, n, b", BENCH_SHAPES)
+    def test_equals_the_composed_cascade_bit_for_bit(self, prefix, n, b):
+        layers = gg._conv_stack(mm.init_weights(CFG, seed=n), prefix, CFG.conv_layers)
+        rng = np.random.default_rng(100 * n + b)
+        t = CFG.t_obs
+        # the spatial cascade reads fused scores [B, T, N, N]; the temporal one
+        # each pedestrian's scores [B*N, 1, T, T], in [0, 1]
+        x = rng.normal(scale=0.5, size=(b, t, n, n)) if prefix == "spa" else rng.uniform(size=(b * n, 1, t, t))
+        got = gg.asymmetric_conv_features(Tensor(x), layers).data
+        want = composed_cascade(Tensor(x), layers).data
+        assert (want < 0).any() and (want > 0).any()  # both PReLU branches
+        assert got.tobytes() == want.tobytes()
+
+    def test_unbatched_input_equals_the_composed_cascade(self):
+        layers = gg._conv_stack(mm.init_weights(CFG, seed=1), "spa", CFG.conv_layers)
+        x = Tensor(np.random.default_rng(8).normal(size=(CFG.t_obs, 3, 3)))
+        got = gg.asymmetric_conv_features(x, layers)
+        assert got.shape == x.shape
+        assert got.data.tobytes() == composed_cascade(x, layers).data.tobytes()
+
+    def test_trainable_weights_leave_no_tape(self):
+        weights = mm.init_weights(CFG, seed=2)
+        layers = gg._conv_stack(weights, "spa", CFG.conv_layers)
+        x = Tensor(np.random.default_rng(9).normal(size=(2, CFG.t_obs, 3, 3)), requires_grad=True)
+        out = gg.asymmetric_conv_features(x, layers)
+        assert all(p.requires_grad for layer in layers for p in layer)
+        assert out._parents == () and out._vjp is None and not out.requires_grad
+
+    def test_kernels_must_keep_the_channels(self):
+        layer = conv_layer(2, 3)
+        narrowing = (Tensor(np.zeros((1, 2, 1, 3))), Tensor(np.zeros(1))) + layer[2:]
+        with pytest.raises(ShapeError, match="keep the 2 channels"):
+            gg.asymmetric_conv_features(Tensor(np.zeros((2, 4, 4))), [narrowing])
+
+
+def composed_cascade(x, layers):
+    """The cascade as tape primitives: the oracle for ``gg.asymmetric_conv_features``'s bits."""
+    for row_k, row_b, col_k, col_b, slope in layers:
+        x = ad.prelu(ad.conv2d_zero_pad(x, row_k, row_b) + ad.conv2d_zero_pad(x, col_k, col_b), slope)
+    return x
 
 
 class TestSparseMask:

@@ -377,7 +377,9 @@ class TestFiniteExits:
 
     @pytest.mark.parametrize("param, op, stage", [
         ("spa_conv6_col_b", "conv2d", "spatial_graph"),
+        ("spa_conv3_row_k", "conv2d", "spatial_graph"),
         ("tmp_conv6_col_b", "conv2d", "temporal_graph"),
+        ("tmp_conv2_slope", "prelu", "temporal_graph"),  # the cascade's PReLU, off the tape
         ("gcn_tmp2_w", "gcn_layer", "branches"),
         ("tcn_conv3_b", "conv2d_prelu", "tcn_head"),
     ])

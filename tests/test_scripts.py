@@ -32,3 +32,15 @@ def test_generate_data_then_desk_run(tmp_path, capsys):
     assert len((out / "loss_log.csv").read_text().splitlines()) == 2  # header + one optimizer step
     assert (out / "metrics.csv").read_text().startswith("scope,ade,fde,pedestrians\noverall,")
     assert "scenes evaluated: 20" in (out / "summary.txt").read_text()
+
+
+def test_artifact_digest_repeats(capsys):
+    artifact_digest = load_script("artifact_digest")
+    digests = []
+    for _ in range(2):
+        assert artifact_digest.main(["--steps", "40", "--epochs", "1", "--batch-size", "16"]) == 0
+        digests.append(capsys.readouterr().out)
+    lines = digests[0].splitlines()
+    assert [line.split("  ")[1] for line in lines] == list(artifact_digest.ARTIFACTS)
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    assert digests[0] == digests[1]
