@@ -416,17 +416,21 @@ def linear(x, w, b) -> Tensor:
 
 
 def _im2col(padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Columns [B, C*kh*kw, H*W], rows in (c, i, j) order, of the x [B, C, H, W] inside ``padded``.
+    """Read-only taps view [B, C, kh, kw, H, W] of the x [B, C, H, W] inside ``padded``.
 
-    ``padded`` holds x in a zero border kh // 2 rows and kw // 2 columns wide.
+    ``padded`` is C-contiguous and holds x in a zero border kh // 2 rows
+    and kw // 2 columns wide.  Reshaping the view to [B, C*kh*kw, H*W]
+    gives the im2col columns, rows in (c, i, j) order.  numpy makes that
+    a view where the strides allow it (a 1x1 kernel, or one channel's Sx1
+    kernel, whose rows then overlap) and a copy elsewhere; a view follows
+    later writes to ``padded``.
     """
     n_b, c, padded_h, padded_w = padded.shape
-    height, width = padded_h - kh + 1, padded_w - kw + 1
     sb, sc, sh, sw = padded.strides
-    taps = np.lib.stride_tricks.as_strided(
-        padded, (n_b, c, kh, kw, height, width), (sb, sc, sh, sw, sh, sw), writeable=False
-    )
-    return taps.reshape(n_b, c * kh * kw, height * width)
+    taps = np.ndarray((n_b, c, kh, kw, padded_h - kh + 1, padded_w - kw + 1), padded.dtype, padded,
+                      strides=(sb, sc, sh, sw, sh, sw))
+    taps.flags.writeable = False
+    return taps
 
 
 def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -434,7 +438,7 @@ def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     n_b, c, height, width = x.shape
     padded = np.zeros((n_b, c, height + kh - 1, width + kw - 1))
     padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width] = x
-    return _im2col(padded, kh, kw)
+    return _im2col(padded, kh, kw).reshape(n_b, c * kh * kw, height * width)
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:

@@ -181,6 +181,8 @@ def reconstruct_positions(origin: np.ndarray, displacements: np.ndarray) -> np.n
 
     ``origin`` is [N, 2]; ``displacements`` is [T, N, 2], or [K, T, N, 2]
     for K sampled sequences, where step 0 is the delta from the origin.
+    Any origin that broadcasts against them works, such as a group's
+    [B, 1, 1, N, 2] against [B, K, T, N, 2].
     Exact inverse of the conversion on data whose coordinates are
     representable sums (binary-fraction grids).
     """

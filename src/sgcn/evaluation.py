@@ -7,10 +7,13 @@ smallest ADE; that same sample supplies the pedestrian's FDE.
 
 ``model.map_groups`` groups scenes of equal pedestrian count (see
 ``model.GROUP_PEDESTRIANS``) and each group runs one forward pass on
-constant weights, so inference records no autodiff tape.  Worker
-threads take whole groups.  Each scene owns a spawned child seed and
-its forward output does not depend on its group, so results are
-identical for any grouping, evaluation order, and number of threads.
+constant weights, so inference records no autodiff tape.  Each group is
+then scored in one vectorized pass: its K samples per window, their
+paths, errors and best-of-K pick are each one array operation over the
+whole group.  Worker threads take whole groups.  Each scene still draws
+its normals from its own spawned child seed, and its forward output and
+every scoring step are elementwise or per-window reductions, so results
+are identical for any grouping, evaluation order, and number of threads.
 """
 
 from __future__ import annotations
@@ -54,26 +57,37 @@ class MetricsReport:
 
 
 def _path_errors(paths: np.ndarray, gt: np.ndarray) -> tuple:
-    """Per-pedestrian (ADE, FDE) of paths [..., T, N, 2] against ground truth [T, N, 2]."""
-    dist = np.linalg.norm(paths - gt, axis=-1)
+    """Per-pedestrian (ADE, FDE) of paths [..., T, N, 2] against ground truth that broadcasts to them.
+
+    The distance is ``np.linalg.norm(axis=-1)``'s to the bit (a two-term
+    sum has one rounding order), without its slow length-2 reduction.
+    """
+    offset = paths - gt
+    dist = np.sqrt(offset[..., 0] * offset[..., 0] + offset[..., 1] * offset[..., 1])
     return dist.mean(axis=-2), dist[..., -1, :]
 
 
 def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
-    """``score(i, params)`` for every scene i, in scene order, through ``model.map_groups``.
+    """One result per scene, in scene order, from ``score(group, params)`` on each ``model.map_groups`` group.
 
-    ``params`` is scene i's BiGaussianParams, from one tape-free forward
-    pass per equal-N group.
+    ``group`` is an equal-N group's scene indices and ``params`` its
+    BiGaussianParams [B, T_pred, N, ...] from one tape-free forward pass;
+    ``score`` returns one result per index, in group order.
     """
     if not scenes:
         raise ConfigError("evaluation requires at least one scene window")
     frozen = {name: Tensor(p.data) for name, p in weights.items()}  # constants: no tape is recorded
 
     def run(group):
-        params = predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg)
-        return [score(i, params.window(b)) for b, i in enumerate(group)]
+        return score(group, predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg))
 
     return map_groups(run, scenes, jobs)
+
+
+def _group_truth(scenes, group) -> tuple:
+    """A group's last observed positions [B, N, 2] and future ground truth [B, T_pred, N, 2]."""
+    return (np.stack([scenes[i].positions_obs[-1] for i in group]),
+            np.stack([scenes[i].positions_fut for i in group]))
 
 
 def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int = 0, jobs: int = 1) -> MetricsReport:
@@ -83,14 +97,14 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
     start = time.monotonic()
     children = np.random.SeedSequence(seed).spawn(len(scenes))
 
-    def best_of_k(i, params):
-        """Per-pedestrian (best ADE, its FDE) for scene i."""
-        scene = scenes[i]
-        samples = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(children[i]), k)
-        ade_kn, fde_kn = _path_errors(samples, scene.positions_fut)
-        best = np.argmin(ade_kn, axis=0)
-        picked = np.arange(scene.n_pedestrians)
-        return ade_kn[best, picked], fde_kn[best, picked]
+    def best_of_k(group, params):
+        """Per-pedestrian (best ADE, its FDE) for each scene of the group."""
+        last, gt = _group_truth(scenes, group)
+        rngs = [np.random.default_rng(children[i]) for i in group]
+        ade_bkn, fde_bkn = _path_errors(sample_trajectory(params, last, rngs, k), gt[:, None])
+        best = np.argmin(ade_bkn, axis=1)[:, None]  # [B, 1, N]
+        return list(zip(np.take_along_axis(ade_bkn, best, axis=1)[:, 0],
+                        np.take_along_axis(fde_bkn, best, axis=1)[:, 0]))
 
     results = _per_scene(best_of_k, weights, cfg, scenes, jobs)
 
@@ -120,8 +134,9 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
 
 def mu_path_metrics(weights, cfg: ModelConfig, scenes) -> tuple:
     """(ADE, FDE) of the deterministic mean path, no sampling."""
-    def mu_path(i, params):
-        return _path_errors(mu_trajectory(params, scenes[i].positions_obs[-1]), scenes[i].positions_fut)
+    def mu_path(group, params):
+        last, gt = _group_truth(scenes, group)
+        return list(zip(*_path_errors(mu_trajectory(params, last), gt)))
 
     ades, fdes = zip(*_per_scene(mu_path, weights, cfg, scenes))
     return float(np.concatenate(ades).mean()), float(np.concatenate(fdes).mean())

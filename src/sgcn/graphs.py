@@ -87,8 +87,9 @@ def asymmetric_conv_features(x: Tensor, layers) -> Tensor:
     backward never crosses, so the cascade runs off the tape on plain
     arrays and returns a constant Tensor: no layer records a node or keeps
     its input for a vjp.  Each kernel extent gets one zero-bordered
-    buffer per call; each layer writes its input into the interior and
-    cuts the im2col columns from it.  The gemms, bias adds, sum and PReLU
+    buffer and one read-only taps view of it (``_im2col``) per call; each
+    layer writes its input into the buffer's interior and reshapes the
+    view into its im2col columns.  The gemms, bias adds, sum and PReLU
     are those of ``conv2d_zero_pad``, ``add`` and ``prelu``, so the output
     is the same to the bit.  A buffer is padded just as
     ``conv2d_zero_pad`` pads for that kernel, because the columns'
@@ -99,18 +100,20 @@ def asymmetric_conv_features(x: Tensor, layers) -> Tensor:
     """
     c, height, width = x.shape[-3:]
     out = x.data.reshape(-1, c, height, width)
-    buffers = {}  # (kh, kw) -> zero-bordered buffer
+    buffers = {}  # (kh, kw) -> (zero-bordered buffer, its taps view)
 
     def conv(layer_in, kernels, bias):
         ad._check_conv(x, kernels, bias)
         if kernels.shape[0] != c:
             raise ShapeError(f"cascade kernels must keep the {c} channels, got {kernels.shape}")
         kh, kw = kernels.shape[2:]
-        padded = buffers.get((kh, kw))
-        if padded is None:
-            padded = buffers[kh, kw] = np.zeros((len(layer_in), c, height + kh - 1, width + kw - 1))
+        if (kh, kw) not in buffers:
+            padded = np.zeros((len(layer_in), c, height + kh - 1, width + kw - 1))
+            buffers[kh, kw] = padded, ad._im2col(padded, kh, kw)
+        padded, taps = buffers[kh, kw]
         padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width] = layer_in
-        f = ad._correlate(layer_in, kernels.data, ad._im2col(padded, kh, kw))
+        cols = taps.reshape(len(layer_in), c * kh * kw, height * width)  # a view follows the write above
+        f = ad._correlate(layer_in, kernels.data, cols)
         f += bias.data[:, None, None]
         ad._check_op(f, "conv2d")
         return f

@@ -52,15 +52,11 @@ GROUP_PEDESTRIANS = 48
 
 @dataclass
 class BiGaussianParams:
-    """Per-step, per-pedestrian displacement distribution (plain arrays)."""
+    """Per-step, per-pedestrian displacement distribution (plain arrays) of a window, or of a group on a leading axis."""
 
     mu: np.ndarray       # [..., T_pred, N, 2]
     sigma: np.ndarray    # [..., T_pred, N, 2], positive
     rho: np.ndarray      # [..., T_pred, N], in (-1, 1)
-
-    def window(self, b: int) -> "BiGaussianParams":
-        """Window ``b`` of a group's parameters."""
-        return BiGaussianParams(self.mu[b], self.sigma[b], self.rho[b])
 
 
 def _glorot(rng, shape, fan_in, fan_out) -> np.ndarray:
@@ -289,31 +285,58 @@ def predict(displacements, weights: dict, cfg: ModelConfig) -> BiGaussianParams:
     return to_gaussian(raw)
 
 
-def sample_displacements(params: BiGaussianParams, rng, k: int) -> np.ndarray:
-    """``k`` correlated draws per (step, pedestrian) -> [k, T_pred, N, 2].
+def draw_normals(rng, k: int, shape: tuple) -> np.ndarray:
+    """Standard normals for ``k`` draws of ``shape`` each: the draw half of sampling.
 
-    The covariance [[sx^2, r sx sy], [r sx sy, sy^2]] factors as L =
-    [[sx, 0], [r sy, sy sqrt(1 - r^2)]], so two standard normals suffice.
-    All draws come from one generator call, so draw s equals the s-th of
-    k successive single draws from the same generator.
+    ``rng`` is one Generator -> [k, *shape], or a sequence of B
+    generators, one per window of a group -> [B, k, *shape].  Window b's
+    slice is filled by ``rng[b]`` alone, so it holds the same values as
+    ``rng[b].standard_normal((k,) + shape)``, whatever the group.
     """
-    eps = rng.standard_normal((k,) + params.mu.shape)
-    sx, sy = params.sigma[..., 0], params.sigma[..., 1]
-    r = params.rho
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal((k,) + shape)
+    eps = np.empty((len(rng), k) + shape)
+    for generator, out in zip(rng, eps):
+        generator.standard_normal(out=out)
+    return eps
+
+
+def sample_displacements(params: BiGaussianParams, rng, k: int) -> np.ndarray:
+    """``k`` correlated draws per (step, pedestrian) -> [..., k, T_pred, N, 2].
+
+    ``params`` is one window's ([T_pred, N, 2] means) with one Generator,
+    or a group's with a leading window axis ([B, T_pred, N, 2]) with one
+    generator per window (see :func:`draw_normals`).  The covariance
+    [[sx^2, r sx sy], [r sx sy, sy^2]] factors as L = [[sx, 0], [r sy,
+    sy sqrt(1 - r^2)]], so two standard normals suffice; each draw is mu
+    + L eps, elementwise, so a window's draws do not depend on its group.
+    Draw s of a window equals the s-th of k successive single draws from
+    its generator.
+    """
+    eps = draw_normals(rng, k, params.mu.shape[-3:])
+    if eps.shape[:-4] != params.mu.shape[:-3]:
+        raise ShapeError(f"normals {eps.shape} do not match the windows of means {params.mu.shape}")
+    mu = params.mu[..., None, :, :, :]  # a draw axis before [T_pred, N, 2]
+    sx, sy = params.sigma[..., None, :, :, 0], params.sigma[..., None, :, :, 1]
+    r = params.rho[..., None, :, :]
     out = np.empty_like(eps)
-    out[..., 0] = params.mu[..., 0] + sx * eps[..., 0]
-    out[..., 1] = params.mu[..., 1] + sy * (r * eps[..., 0] + np.sqrt(1.0 - r * r) * eps[..., 1])
+    out[..., 0] = mu[..., 0] + sx * eps[..., 0]
+    out[..., 1] = mu[..., 1] + sy * (r * eps[..., 0] + np.sqrt(1.0 - r * r) * eps[..., 1])
     return out
 
 
 def sample_trajectory(params: BiGaussianParams, last_observed: np.ndarray, rng, k: int) -> np.ndarray:
-    """Absolute future positions of ``k`` sampled displacement sequences -> [k, T_pred, N, 2]."""
-    return reconstruct_positions(last_observed, sample_displacements(params, rng, k))
+    """Absolute future positions of ``k`` sampled displacement sequences -> [..., k, T_pred, N, 2].
+
+    ``last_observed`` is [N, 2], or [B, N, 2] for a group; ``params`` and
+    ``rng`` as in :func:`sample_displacements`.
+    """
+    return reconstruct_positions(last_observed[..., None, None, :, :], sample_displacements(params, rng, k))
 
 
 def mu_trajectory(params: BiGaussianParams, last_observed: np.ndarray) -> np.ndarray:
-    """Deterministic mean path (the zero-noise sample)."""
-    return reconstruct_positions(last_observed, params.mu)
+    """Deterministic mean path (the zero-noise sample) -> [..., T_pred, N, 2]; last_observed [..., N, 2]."""
+    return reconstruct_positions(last_observed[..., None, :, :], params.mu)
 
 
 # ---------------------------------------------------------------------------

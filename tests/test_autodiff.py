@@ -124,6 +124,26 @@ class TestConv2d:
             for j in range(3):
                 assert np.array_equal(out[i, j], ad.conv2d_zero_pad(ad.Tensor(x[i, j]), k, b).data)
 
+    def test_im2col_view_is_read_only_and_follows_its_buffer(self):
+        padded = np.zeros((2, 3, 6, 7))
+        taps = ad._im2col(padded, 3, 3)
+        assert taps.shape == (2, 3, 3, 3, 4, 5) and np.shares_memory(taps, padded)
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0, 0, 0, 0, 0, 0] = 1.0
+        padded[1, 2, 3, 4] = 7.0  # a later write to the buffer shows through every tap that covers it
+        want = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+        assert np.array_equal(taps, want) and taps.sum() == 9 * 7.0
+
+    @pytest.mark.parametrize("kh, kw, c, is_view", [(5, 1, 1, True), (1, 5, 1, False), (5, 1, 3, False), (1, 1, 3, True)])
+    def test_columns_copy_or_view_as_the_strides_allow(self, kh, kw, c, is_view):
+        # a one-channel (Sx1) kernel's columns stay an overlapping view of the
+        # read-only taps: numpy multiplies it without BLAS, and its bits differ
+        # from a copy's; a reshape that must copy gives a writeable array
+        x = np.random.default_rng(7).normal(size=(2, c, 4, 6))
+        cols = ad._columns(x, kh, kw)
+        assert cols.shape == (2, c * kh * kw, 24)
+        assert cols.flags.writeable != is_view
+
     @pytest.mark.parametrize("wrt", ["input", "kernel"])
     def test_multichannel_3x3_gradients(self, wrt):
         # a square kernel with C_in != C_out exercises the flip and the

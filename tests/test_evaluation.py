@@ -1,6 +1,8 @@
 """Displacement-error metrics and the best-of-K evaluation protocol."""
 
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from sgcn.model import init_weights, mu_trajectory, predict, sample_trajectory
 from conftest import fixture_positions
 
 SMALL_CFG = ModelConfig(t_obs=4, t_pred=3, embed_dim=16, conv_layers=2)
+# 12 future steps, as the default config: a mean over 8 or more steps is where
+# numpy's pairwise summation can tell one reduction layout from another
+LONG_CFG = replace(SMALL_CFG, t_pred=12)
 
 
 def random_scenes(n_scenes=4, seed=0):
@@ -33,6 +38,28 @@ def random_scenes(n_scenes=4, seed=0):
             scene_name=f"S{i % 2}",
         ))
     return scenes
+
+
+def sized_scenes(sizes):
+    """One window per size, 4 observed and 12 future steps, names cycling over three scenes."""
+    scenes = []
+    for i, n in enumerate(sizes):
+        pos = fixture_positions(np.full((n, 2), 0.3), np.arange(2.0 * n).reshape(n, 2), seed=i, steps=16)
+        scenes.append(sgcn_data.TrajectoryScene(tuple(range(n)), pos[:4], pos[4:], scene_name=f"S{i % 3}"))
+    return scenes
+
+
+@contextmanager
+def recorded_scores():
+    """Collect each ``ev._per_scene`` call's per-window results, in call order."""
+    calls, per_scene = [], ev._per_scene
+
+    def record(*args, **kwargs):
+        calls.append(per_scene(*args, **kwargs))
+        return calls[-1]
+
+    with mock.patch.object(ev, "_per_scene", record):
+        yield calls
 
 
 class TestMetricOracles:
@@ -64,6 +91,14 @@ class TestMetricOracles:
         pred[-1, 1, 1] = 3.0
         assert ev.fde(pred, gt) == pytest.approx(2.0, abs=1e-12)
         assert ev.ade(pred, gt) == pytest.approx((1.0 + 3.0) / 2 / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(12, 1, 2), (20, 12, 1, 2), (3, 20, 12, 4, 2)])
+    def test_path_errors_equal_the_norm_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        paths, gt = rng.normal(scale=3.0, size=shape), rng.normal(scale=3.0, size=shape[-3:])
+        dist = np.linalg.norm(paths - gt, axis=-1)
+        ade_n, fde_n = ev._path_errors(paths, gt)
+        assert ade_n.tobytes() == dist.mean(axis=-2).tobytes() and fde_n.tobytes() == dist[..., -1, :].tobytes()
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigError):
@@ -177,21 +212,19 @@ class TestBestOfK:
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_grouped_report_matches_per_scene_loop(self, tmp_path, jobs):
-        # equal-N groups, one split by the budget and one window above it,
-        # against one single-window forward pass per scene, bytes included
-        sizes = [2, 3, 2, 2, 3] * 10 + [mm.GROUP_PEDESTRIANS + 1, 2, 3]
-        scenes = []
-        for i, n in enumerate(sizes):
-            pos = fixture_positions(np.full((n, 2), 0.3), np.arange(2.0 * n).reshape(n, 2), seed=i, steps=7)
-            scenes.append(sgcn_data.TrajectoryScene(tuple(range(n)), pos[:4], pos[4:], scene_name=f"S{i % 3}"))
+        # equal-N groups, one split by the budget, one window above it and a
+        # full-cap group of 48 N = 1 windows, against one single-window forward
+        # pass and one k-draw per scene, bytes included
+        sizes = [2, 3, 2, 2, 3] * 10 + [mm.GROUP_PEDESTRIANS + 1, 2, 3] + [1] * mm.GROUP_PEDESTRIANS
+        scenes = sized_scenes(sizes)
         groups = mm.group_by_size(sizes, mm.GROUP_PEDESTRIANS)
-        assert [50] in groups and max(len(g) for g in groups) == 24
-        weights = init_weights(SMALL_CFG, seed=4)
+        assert [50] in groups and list(range(53, 101)) in groups and max(len(g) for g in groups) == 48
+        weights = init_weights(LONG_CFG, seed=4)
         k, seed = 5, 8
         children = np.random.SeedSequence(seed).spawn(len(scenes))
         ades, fdes, per_scene = [], [], {}
         for scene, child in zip(scenes, children):
-            params = predict(scene.displacements_obs, weights, SMALL_CFG)
+            params = predict(scene.displacements_obs, weights, LONG_CFG)
             samples = sample_trajectory(params, scene.positions_obs[-1], np.random.default_rng(child), k)
             dist = np.linalg.norm(samples - scene.positions_fut, axis=-1)
             best = np.argmin(dist.mean(axis=-2), axis=0)
@@ -208,11 +241,34 @@ class TestBestOfK:
             n_pedestrians=sum(sizes), n_scenes=len(scenes), k=k, seed=seed,
             per_scene={name: (float(a / c), float(f / c), c) for name, (a, f, c) in per_scene.items()},
         )
-        got = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=k, seed=seed, jobs=jobs)
+        with recorded_scores() as scores:
+            got = ev.evaluate_best_of_k(weights, LONG_CFG, scenes, k=k, seed=seed, jobs=jobs)
+        assert [(a.tobytes(), f.tobytes()) for a, f in scores[0]] == [(a.tobytes(), f.tobytes()) for a, f in zip(ades, fdes)]
         assert (got.ade, got.fde, got.per_scene) == (want.ade, want.fde, want.per_scene)
         ev.write_metrics_csv(want, tmp_path / "want.csv")
         ev.write_metrics_csv(got, tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_reports_do_not_depend_on_the_group_cap(self, tmp_path):
+        # N = 1..5 in shuffled order and one window above every cap: caps of
+        # 1 (every window alone), 7 and 48 score the same windows in
+        # different groups and must agree to the bit, per pedestrian too (a
+        # report's means can absorb a last-bit change in one pedestrian)
+        sizes = [1] * 50 + [2, 3, 4, 5] * 6 + [49]
+        sizes = [sizes[i] for i in np.random.default_rng(12).permutation(len(sizes))]
+        scenes = sized_scenes(sizes)
+        weights = init_weights(LONG_CFG, seed=6)
+        outcomes = []
+        for cap in (1, 7, 48):
+            with mock.patch.object(mm, "GROUP_PEDESTRIANS", cap), recorded_scores() as scores:
+                report = ev.evaluate_best_of_k(weights, LONG_CFG, scenes, k=20, seed=14)
+                mu_path = ev.mu_path_metrics(weights, LONG_CFG, scenes)
+            ev.write_metrics_csv(report, tmp_path / f"metrics{cap}.csv")
+            per_pedestrian = [[(a.tobytes(), f.tobytes()) for a, f in results] for results in scores]
+            outcomes.append(((report.ade, report.fde, report.n_pedestrians, report.per_scene), mu_path,
+                             (tmp_path / f"metrics{cap}.csv").read_bytes(), per_pedestrian))
+        assert max(len(g) for g in mm.group_by_size(sizes, 48)) == 48
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_evaluation_records_no_tape(self, monkeypatch):
         weights = init_weights(SMALL_CFG, seed=2)

@@ -225,7 +225,7 @@ def test_nan_window_in_a_later_group_is_named_with_two_threads():
 
     def fn(group):
         params = mm.predict(np.stack([scenes[i].displacements_obs for i in group]), weights, cfg)
-        return [params.window(b) for b in range(len(group))]
+        return list(params.mu)
 
     with pytest.raises(NumericsError, match=(
         r"^scene BAD@frame5 \(N=4\): non-finite values produced by 'tensor' in stage 'spatial_graph'$"
@@ -435,6 +435,34 @@ class TestSampling:
         assert batch.shape == (6, 4, 5, 2)
         assert np.array_equal(batch, np.stack(singles))
 
+    @pytest.mark.parametrize("n, b_size", [(1, 48), (3, 4)])
+    def test_group_draws_equal_each_windows_own_draws(self, n, b_size):
+        # a group's leading window axis: window b's k draws come from its own
+        # generator alone and map exactly as a lone window's do
+        rng = np.random.default_rng(n)
+        p = mm.BiGaussianParams(mu=rng.normal(size=(b_size, 12, n, 2)),
+                                sigma=rng.uniform(0.1, 2.0, size=(b_size, 12, n, 2)),
+                                rho=rng.uniform(-0.9, 0.9, size=(b_size, 12, n)))
+        last = rng.normal(size=(b_size, n, 2))
+        seeds = np.random.SeedSequence(6).spawn(b_size)
+        got = mm.sample_trajectory(p, last, [np.random.default_rng(s) for s in seeds], k=20)
+        assert got.shape == (b_size, 20, 12, n, 2)
+        for b, s in enumerate(seeds):
+            window = mm.BiGaussianParams(p.mu[b], p.sigma[b], p.rho[b])
+            assert got[b].tobytes() == mm.sample_trajectory(window, last[b], np.random.default_rng(s), 20).tobytes()
+
+    def test_draw_normals_fills_each_window_from_its_own_generator(self):
+        eps = mm.draw_normals([np.random.default_rng(s) for s in (3, 4)], 5, (2, 1, 2))
+        assert eps.shape == (2, 5, 2, 1, 2)
+        for b, s in enumerate((3, 4)):
+            assert np.array_equal(eps[b], np.random.default_rng(s).standard_normal((5, 2, 1, 2)))
+
+    def test_one_generator_for_a_group_is_refused(self):
+        p = self.params()
+        group = mm.BiGaussianParams(p.mu[None], p.sigma[None], p.rho[None])
+        with pytest.raises(ShapeError, match="normals"):
+            mm.sample_displacements(group, np.random.default_rng(0), k=2)
+
     def test_monte_carlo_moments(self):
         n_draws = 100_000
         p = mm.BiGaussianParams(
@@ -455,6 +483,15 @@ class TestSampling:
         out = mm.sample_trajectory(p, last, np.random.default_rng(21), k=1)[0]
         assert_allclose(out[0], last + p.mu[0], atol=1e-9)
         assert_allclose(out[1], last + p.mu[0] + p.mu[1], atol=1e-9)
+
+    def test_mu_trajectory_of_a_group_equals_each_windows(self):
+        p = self.params(t=12, n=1)
+        group = mm.BiGaussianParams(np.stack([p.mu, -p.mu]), np.stack([p.sigma] * 2), np.stack([p.rho] * 2))
+        last = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
+        got = mm.mu_trajectory(group, last)
+        for b in range(2):
+            window = mm.BiGaussianParams(group.mu[b], group.sigma[b], group.rho[b])
+            assert got[b].tobytes() == mm.mu_trajectory(window, last[b]).tobytes()
 
 
 class TestCheckpoint:
