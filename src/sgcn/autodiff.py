@@ -5,13 +5,15 @@ closure on the output tensor; ``backward`` replays those records in
 reverse execution order and accumulates gradients into the leaves.
 The primitive set is exactly what the trajectory model needs: batched
 matmul, zero-padded 2-d convolution, masked softmax, a handful of
-pointwise functions, and two fused layers, each one tape node with a
-hand-written vjp: ``linear`` (``x @ w + b``) and ``conv2d_prelu`` (a
+pointwise functions, and three fused layers, each one tape node with a
+hand-written vjp: ``linear`` (``x @ w + b``), ``gcn_layer`` (a graph
+convolution: ``(A^T H) W`` then PReLU) and ``conv2d_prelu`` (a
 temporal-conv block: conv, PReLU and an optional residual).  A fused
 layer keeps only what its vjp reads and recomputes the rest, so a
 training tape stays small; its outputs and gradients equal those of the
-composed primitives bit for bit.  ``model.gcn_layer`` is built the same
-way from the vjp helpers here.
+composed primitives bit for bit.  ``conv_cascade`` (the gate's features)
+maps plain arrays to plain arrays and records no node.  No other module
+builds tape nodes or im2col buffers.
 
 PReLU's select is a gather, not ``np.where``.  The sign of a
 pre-activation is data-dependent, and a select on a random mask cost
@@ -19,8 +21,7 @@ about 5 ns per element on a 25k-element array (2-core Xeon VM), against
 under 2 ns to gather each element's factor (1.0 or the slope) from a
 two-entry table by the mask's bytes and multiply.  The product keeps
 every bit: ``x * 1.0`` is x and ``x * slope`` is ``slope * x``.  The
-slope is a scalar, as every model slope is.  ``_sigmoid`` likewise reads
-one ``exp(-|x|)`` instead of indexing by sign.
+slope is a scalar, as every model slope is.
 
 By default every primitive checks its output for NaN/Inf, so a numerical
 failure surfaces at its source.  That check took about a tenth of
@@ -257,12 +258,6 @@ def tanh(x) -> Tensor:
     return Tensor(out, _parents=(x,), _vjp=vjp, _op="tanh")
 
 
-def _sigmoid(data: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0 and e / (1 + e) below.
-    e = np.exp(-np.abs(data))
-    return np.maximum(e, data >= 0) / (1.0 + e)  # e <= 1, so the max picks 1 where x >= 0
-
-
 def _prelu_factor(neg: np.ndarray, slope: Tensor) -> np.ndarray:
     """PReLU's per-element factor: the scalar slope where ``neg``, else 1.0."""
     if slope.shape != ():
@@ -415,30 +410,50 @@ def linear(x, w, b) -> Tensor:
     return Tensor(out, _parents=(x, w, b), _vjp=vjp, _op="linear")
 
 
-def _im2col(padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Read-only taps view [B, C, kh, kw, H, W] of the x [B, C, H, W] inside ``padded``.
+def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
+    """One propagation step, ``prelu((A^T H) W, slope)``, as one node: receivers aggregate their influencers.
 
-    ``padded`` is C-contiguous and holds x in a zero border kh // 2 rows
-    and kw // 2 columns wide.  Reshaping the view to [B, C*kh*kw, H*W]
-    gives the im2col columns, rows in (c, i, j) order.  numpy makes that
-    a view where the strides allow it (a 1x1 kernel, or one channel's Sx1
-    kernel, whose rows then overlap) and a copy elsewhere; a view follows
-    later writes to ``padded``.
+    Adjacency entry (i, j) weights i's influence on j, so features are
+    premultiplied by the transposed slices.  The node keeps A^T H and the
+    sign mask; its vjp recomputes the pre-activation (A^T H) W.
     """
-    n_b, c, padded_h, padded_w = padded.shape
-    sb, sc, sh, sw = padded.strides
-    taps = np.ndarray((n_b, c, kh, kw, padded_h - kh + 1, padded_w - kw + 1), padded.dtype, padded,
-                      strides=(sb, sc, sh, sw, sh, sw))
-    taps.flags.writeable = False
-    return taps
+    if adjacency.shape[-1] != features.shape[-2]:
+        raise ShapeError(f"adjacency {adjacency.shape} cannot aggregate features {features.shape}")
+    aggregated = _product(np.swapaxes(adjacency.data, -1, -2), features.data)
+    out = _product(aggregated, weight.data)
+    neg = out < 0
+    out *= _prelu_factor(neg, slope)
+
+    def vjp(g):
+        g_pre, g_slope = _prelu_vjp(g, aggregated @ weight.data, neg, slope)
+        g_aggregated, g_weight = _product_vjp(g_pre, aggregated, weight.data)
+        g_transposed, g_features = _product_vjp(g_aggregated, np.swapaxes(adjacency.data, -1, -2), features.data)
+        return np.swapaxes(g_transposed, -1, -2), g_features, g_weight, g_slope
+
+    return Tensor(out, _parents=(adjacency, features, weight, slope), _vjp=vjp, _op="gcn_layer")
 
 
-def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """im2col: zero-padded x [B, C, H, W] -> [B, C*kh*kw, H*W], rows in (c, i, j) order."""
-    n_b, c, height, width = x.shape
+def _padder(shape: tuple, kh: int, kw: int):
+    """A function that pads an x of ``shape`` [B, C, H, W] and returns its im2col columns [B, C*kh*kw, H*W].
+
+    Each call writes x into the interior of one zero-bordered buffer,
+    kh // 2 rows and kw // 2 columns wide, and reshapes one read-only taps
+    view [B, C, kh, kw, H, W] of that buffer into columns, rows in
+    (c, i, j) order.  numpy makes the reshape a view where the strides
+    allow it (a 1x1 kernel, or one channel's Sx1 kernel, whose rows then
+    overlap) and a copy elsewhere; a view follows the next call's write.
+    """
+    n_b, c, height, width = shape
     padded = np.zeros((n_b, c, height + kh - 1, width + kw - 1))
-    padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width] = x
-    return _im2col(padded, kh, kw).reshape(n_b, c * kh * kw, height * width)
+    taps = np.ndarray((n_b, c, kh, kw, height, width), padded.dtype, padded, strides=padded.strides + padded.strides[2:])
+    taps.flags.writeable = False
+    interior = padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width]
+
+    def columns(x: np.ndarray) -> np.ndarray:
+        interior[...] = x
+        return taps.reshape(n_b, c * kh * kw, height * width)
+
+    return columns
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -449,7 +464,7 @@ def _correlate(x: np.ndarray, kernels: np.ndarray, cols: np.ndarray | None = Non
     """
     n_b, _, height, width = x.shape
     if cols is None:
-        cols = _columns(x, *kernels.shape[2:])
+        cols = _padder(x.shape, *kernels.shape[2:])(x)
     out = kernels.reshape(len(kernels), -1) @ cols
     return out.reshape(n_b, -1, height, width)
 
@@ -484,18 +499,20 @@ def conv2d_zero_pad(x, kernels, bias) -> Tensor:
     ``x`` is [..., C_in, H, W] (any leading axes); ``kernels`` is
     [C_out, C_in, kh, kw] with odd kh, kw so symmetric padding keeps H
     and W unchanged; ``bias`` is [C_out].  Covers the spatial graph's 1x1
-    channel fusion and the gate features' (1xS)/(Sx1) asymmetric pairs;
-    the prediction head's convolutions run through :func:`conv2d_prelu`.
+    channel fusion; the gate's (1xS)/(Sx1) pairs run through
+    :func:`conv_cascade` and the prediction head's convolutions through
+    :func:`conv2d_prelu`.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     _check_conv(x, kernels, bias)
     c_out, c_in, kh, kw = kernels.shape
     height, width = x.shape[-2:]
-    out = _correlate(x.data.reshape(-1, c_in, height, width), kernels.data)
+    flat = x.data.reshape(-1, c_in, height, width)
+    out = _correlate(flat, kernels.data)
     out += bias.data[:, None, None]
 
     def vjp(g):
-        cols = _columns(x.data.reshape(-1, c_in, height, width), kh, kw)
+        cols = _padder(flat.shape, kh, kw)(flat)
         gx, gk, gb = _conv_vjp(g.reshape(-1, c_out, height, width), kernels.data, cols)
         return gx.reshape(x.shape), gk, gb
 
@@ -516,10 +533,11 @@ def conv2d_prelu(x, kernels, bias, slope, residual: bool = False) -> Tensor:
     if residual and c_out != c_in:
         raise ShapeError(f"a residual block needs C_out == C_in, got kernels {kernels.shape}")
     height, width = x.shape[-2:]
+    flat = x.data.reshape(-1, c_in, height, width)
     out_shape = x.shape[:-3] + (c_out, height, width)
 
     def pre_activation(cols=None):
-        pre = _correlate(x.data.reshape(-1, c_in, height, width), kernels.data, cols)
+        pre = _correlate(flat, kernels.data, cols)
         pre += bias.data[:, None, None]
         return pre.reshape(out_shape)
 
@@ -530,13 +548,53 @@ def conv2d_prelu(x, kernels, bias, slope, residual: bool = False) -> Tensor:
         out += x.data
 
     def vjp(g):
-        cols = _columns(x.data.reshape(-1, c_in, height, width), kh, kw)
+        cols = _padder(flat.shape, kh, kw)(flat)
         g_pre, g_slope = _prelu_vjp(g, pre_activation(cols), neg, slope)
         gx, gk, gb = _conv_vjp(g_pre.reshape(-1, c_out, height, width), kernels.data, cols)
         gx = gx.reshape(x.shape)
         return (g + gx if residual else gx), gk, gb, g_slope
 
     return Tensor(out, _parents=(x, kernels, bias, slope), _vjp=vjp, _op="conv2d_prelu")
+
+
+def conv_cascade(x: np.ndarray, layers) -> np.ndarray:
+    """Cascade of paired (1xS) row and (Sx1) column convs, summed then PReLU'd, on plain arrays.
+
+    ``x`` is [..., C, H, W] and the output has its shape; ``layers`` is a
+    sequence of (row_k, row_b, col_k, col_b, slope) Tensors whose kernels
+    keep the C channels.  The gate features it computes only feed a hard
+    threshold that backward never crosses, so it records no node.  Each
+    kernel extent gets one padder per call.  The gemms, bias adds, sum
+    and PReLU are those of ``conv2d_zero_pad``, ``add`` and ``prelu``, so
+    the output is the same to the bit; the padding matters too, as the
+    columns' strides pick numpy's matmul path: one channel's (Sx1)
+    columns are an overlapping view that numpy multiplies without BLAS.
+    Unless checks are deferred, each conv, sum and PReLU output is
+    checked under that primitive's name.
+    """
+    c, height, width = x.shape[-3:]
+    out = x.reshape(-1, c, height, width)
+    padders = {}  # (kh, kw) -> the padder of that kernel extent
+
+    def conv(layer_in, kernels, bias):
+        _check_conv(x, kernels, bias)
+        if kernels.shape[0] != c:
+            raise ShapeError(f"cascade kernels must keep the {c} channels, got {kernels.shape}")
+        extent = kernels.shape[2:]
+        if extent not in padders:
+            padders[extent] = _padder(layer_in.shape, *extent)
+        f = _correlate(layer_in, kernels.data, padders[extent](layer_in))
+        f += bias.data[:, None, None]
+        _check_op(f, "conv2d")
+        return f
+
+    for row_k, row_b, col_k, col_b, slope in layers:
+        out, f_col = conv(out, row_k, row_b), conv(out, col_k, col_b)
+        out += f_col
+        _check_op(out, "add")
+        out *= _prelu_factor(out < 0, slope)
+        _check_op(out, "prelu")
+    return out.reshape(x.shape)
 
 
 def softmax_lastdim(x, mask: np.ndarray | bool = True) -> Tensor:

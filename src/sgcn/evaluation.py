@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, scope
 from .config import ModelConfig
 from .errors import ConfigError
 from .model import map_groups, mu_trajectory, predict, sample_trajectory
@@ -72,11 +72,14 @@ def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
 
     ``group`` is an equal-N group's scene indices and ``params`` its
     BiGaussianParams [B, T_pred, N, ...] from one tape-free forward pass;
-    ``score`` returns one result per index, in group order.
+    ``score`` returns one result per index, in group order.  The pass
+    reads constant weight copies, so records no tape; a non-finite weight
+    fails its exit checks, and ``map_groups``' rerun names the op.
     """
     if not scenes:
         raise ConfigError("evaluation requires at least one scene window")
-    frozen = {name: Tensor(p.data) for name, p in weights.items()}  # constants: no tape is recorded
+    with scope(deferred=True):
+        frozen = {name: Tensor(p.data) for name, p in weights.items()}
 
     def run(group):
         return score(group, predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg))

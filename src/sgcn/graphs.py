@@ -8,7 +8,9 @@ mixes its per-step scores with a 1x1 conv over time channels.  Both then
 gate by one rule, ``sparsify``: entries whose asymmetric row/column conv
 features have sigmoid below the threshold xi are pruned (self-loops
 stay), and a zero-preserving renormalization yields asymmetric,
-row-normalized, genuinely sparse adjacency tensors.
+row-normalized, genuinely sparse adjacency tensors.  Backward never
+crosses the gate, so its features (``autodiff.conv_cascade``) are
+computed off the tape.
 
 Windows with the same pedestrian count N stack along a leading batch
 axis: displacements [B, T_obs, N, 2] give spatial slices [B, T_obs, N, N]
@@ -25,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 ZERO_SOFTMAX_EPS = 1e-12
 
@@ -77,54 +79,10 @@ def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | bool 
     return ad.softmax_lastdim(logits, mask=mask)
 
 
-def asymmetric_conv_features(x: Tensor, layers) -> Tensor:
-    """Cascade of paired (1xS) row and (Sx1) column convs, summed then PReLU'd.
-
-    ``layers`` is a sequence of (row_k, row_b, col_k, col_b, slope).
-    Input is [C, H, W] or batched [B, C, H, W]; shape is preserved.
-
-    The features only feed ``sparse_mask``'s hard threshold, which
-    backward never crosses, so the cascade runs off the tape on plain
-    arrays and returns a constant Tensor: no layer records a node or keeps
-    its input for a vjp.  Each kernel extent gets one zero-bordered
-    buffer and one read-only taps view of it (``_im2col``) per call; each
-    layer writes its input into the buffer's interior and reshapes the
-    view into its im2col columns.  The gemms, bias adds, sum and PReLU
-    are those of ``conv2d_zero_pad``, ``add`` and ``prelu``, so the output
-    is the same to the bit.  A buffer is padded just as
-    ``conv2d_zero_pad`` pads for that kernel, because the columns'
-    strides pick numpy's matmul path: for one channel, an (Sx1) kernel's
-    columns are an overlapping view that numpy multiplies without BLAS.
-    Unless checks are deferred, each conv, sum and PReLU output is checked
-    under that primitive's name.
-    """
-    c, height, width = x.shape[-3:]
-    out = x.data.reshape(-1, c, height, width)
-    buffers = {}  # (kh, kw) -> (zero-bordered buffer, its taps view)
-
-    def conv(layer_in, kernels, bias):
-        ad._check_conv(x, kernels, bias)
-        if kernels.shape[0] != c:
-            raise ShapeError(f"cascade kernels must keep the {c} channels, got {kernels.shape}")
-        kh, kw = kernels.shape[2:]
-        if (kh, kw) not in buffers:
-            padded = np.zeros((len(layer_in), c, height + kh - 1, width + kw - 1))
-            buffers[kh, kw] = padded, ad._im2col(padded, kh, kw)
-        padded, taps = buffers[kh, kw]
-        padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width] = layer_in
-        cols = taps.reshape(len(layer_in), c * kh * kw, height * width)  # a view follows the write above
-        f = ad._correlate(layer_in, kernels.data, cols)
-        f += bias.data[:, None, None]
-        ad._check_op(f, "conv2d")
-        return f
-
-    for row_k, row_b, col_k, col_b, slope in layers:
-        out, f_col = conv(out, row_k, row_b), conv(out, col_k, col_b)
-        out += f_col
-        ad._check_op(out, "add")
-        out *= ad._prelu_factor(out < 0, slope)
-        ad._check_op(out, "prelu")
-    return Tensor(out.reshape(x.shape))
+def _sigmoid(data: np.ndarray) -> np.ndarray:
+    # one exp(-|x|), which never overflows: 1 / (1 + e) for x >= 0 and e / (1 + e) below
+    e = np.exp(-np.abs(data))
+    return np.maximum(e, data >= 0) / (1.0 + e)  # e <= 1, so the max picks 1 where x >= 0
 
 
 def sparse_mask(features: np.ndarray, xi: float) -> np.ndarray:
@@ -132,7 +90,7 @@ def sparse_mask(features: np.ndarray, xi: float) -> np.ndarray:
 
     ``xi`` comes from ModelConfig, which keeps it in [0, 1].
     """
-    return ad._sigmoid(np.asarray(features, dtype=np.float64)) >= xi
+    return _sigmoid(np.asarray(features, dtype=np.float64)) >= xi
 
 
 def zero_softmax(x: Tensor) -> Tensor:
@@ -213,8 +171,8 @@ def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
     h0 = embed_nodes(x, weights["spa_embed_w"], weights["spa_embed_b"])
     scores = attention_scores(h0, weights["spa_query_w"], weights["spa_query_b"], weights["spa_key_w"])
     fused = ad.conv2d_zero_pad(scores, weights["spa_fuse_k"], weights["spa_fuse_b"])
-    features = asymmetric_conv_features(fused, _conv_stack(weights, "spa", cfg.conv_layers))
-    return sparsify(fused, features.data, cfg.xi), h0
+    features = ad.conv_cascade(fused.data, _conv_stack(weights, "spa", cfg.conv_layers))
+    return sparsify(fused, features, cfg.xi), h0
 
 
 def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
@@ -236,6 +194,6 @@ def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
     h0 = embed_nodes(x, weights["tmp_embed_w"], weights["tmp_embed_b"], encoding)
     causal = np.triu(np.ones((t_obs, t_obs), dtype=bool))
     scores = attention_scores(h0, weights["tmp_query_w"], weights["tmp_query_b"], weights["tmp_key_w"], mask=causal)
-    stacked = ad.reshape(scores, (-1, 1, t_obs, t_obs))
-    features = asymmetric_conv_features(stacked, _conv_stack(weights, "tmp", cfg.conv_layers))
-    return sparsify(scores, features.data.reshape(scores.shape), cfg.xi, causal), h0
+    stacked = scores.data.reshape(-1, 1, t_obs, t_obs)
+    features = ad.conv_cascade(stacked, _conv_stack(weights, "tmp", cfg.conv_layers))
+    return sparsify(scores, features.reshape(scores.shape), cfg.xi, causal), h0

@@ -175,40 +175,17 @@ def map_groups(fn, scenes, jobs: int = 1) -> list:
     return results
 
 
-def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
-    """One propagation step, ``prelu((A^T H) W, slope)``, as one tape node: receivers aggregate their influencers.
-
-    Adjacency entry (i, j) weights i's influence on j, so features are
-    premultiplied by the transposed slices.  The node keeps A^T H and the
-    sign mask; its vjp recomputes the pre-activation (A^T H) W.
-    """
-    if adjacency.shape[-1] != features.shape[-2]:
-        raise ShapeError(f"adjacency {adjacency.shape} cannot aggregate features {features.shape}")
-    aggregated = ad._product(np.swapaxes(adjacency.data, -1, -2), features.data)
-    out = ad._product(aggregated, weight.data)
-    neg = out < 0
-    out *= ad._prelu_factor(neg, slope)
-
-    def vjp(g):
-        g_pre, g_slope = ad._prelu_vjp(g, aggregated @ weight.data, neg, slope)
-        g_aggregated, g_weight = ad._product_vjp(g_pre, aggregated, weight.data)
-        g_transposed, g_features = ad._product_vjp(g_aggregated, np.swapaxes(adjacency.data, -1, -2), features.data)
-        return np.swapaxes(g_transposed, -1, -2), g_features, g_weight, g_slope
-
-    return Tensor(out, _parents=(adjacency, features, weight, slope), _vjp=vjp, _op="gcn_layer")
-
-
 def interaction_tendency_branch(spa_adj: Tensor, tmp_adj: Tensor, h0_spa: Tensor, w: dict) -> Tensor:
     """Pedestrian mixing per time step, then step mixing per pedestrian -> [B*N, T, D]."""
-    spatial = gcn_layer(spa_adj, h0_spa, w["gcn_spa1_w"], w["gcn_spa1_slope"])
-    return gcn_layer(tmp_adj, pedestrian_major(spatial), w["gcn_tmp1_w"], w["gcn_tmp1_slope"])
+    spatial = ad.gcn_layer(spa_adj, h0_spa, w["gcn_spa1_w"], w["gcn_spa1_slope"])
+    return ad.gcn_layer(tmp_adj, pedestrian_major(spatial), w["gcn_tmp1_w"], w["gcn_tmp1_slope"])
 
 
 def tendency_interaction_branch(spa_adj: Tensor, tmp_adj: Tensor, h0_tmp: Tensor, w: dict) -> Tensor:
     """Step mixing per pedestrian, then pedestrian mixing per time step -> [..., T, N, D]."""
-    temporal = gcn_layer(tmp_adj, h0_tmp, w["gcn_tmp2_w"], w["gcn_tmp2_slope"])
+    temporal = ad.gcn_layer(tmp_adj, h0_tmp, w["gcn_tmp2_w"], w["gcn_tmp2_slope"])
     per_step = step_major(temporal, spa_adj.shape[:-3], spa_adj.shape[-1])
-    return gcn_layer(spa_adj, per_step, w["gcn_spa2_w"], w["gcn_spa2_slope"])
+    return ad.gcn_layer(spa_adj, per_step, w["gcn_spa2_w"], w["gcn_spa2_slope"])
 
 
 def fuse_branches(h_itf: Tensor, h_tif: Tensor) -> Tensor:

@@ -1,8 +1,10 @@
 """Oracle and property tests for the reverse-mode engine."""
 
+import ast
 import threading
 import zlib
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgcn import autodiff as ad
+from sgcn import graphs as gg
 from sgcn.errors import ConfigError, NumericsError, ShapeError
 
 
@@ -125,14 +128,22 @@ class TestConv2d:
                 assert np.array_equal(out[i, j], ad.conv2d_zero_pad(ad.Tensor(x[i, j]), k, b).data)
 
     def test_im2col_view_is_read_only_and_follows_its_buffer(self):
-        padded = np.zeros((2, 3, 6, 7))
-        taps = ad._im2col(padded, 3, 3)
-        assert taps.shape == (2, 3, 3, 3, 4, 5) and np.shares_memory(taps, padded)
+        # one channel's 5x1 columns are a view of the padder's one buffer
+        rng = np.random.default_rng(3)
+        first, second = rng.normal(size=(2, 2, 1, 4, 6))
+        pad = ad._padder(first.shape, 5, 1)
+        cols = pad(first)
         with pytest.raises(ValueError, match="read-only"):
-            taps[0, 0, 0, 0, 0, 0] = 1.0
-        padded[1, 2, 3, 4] = 7.0  # a later write to the buffer shows through every tap that covers it
-        want = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-        assert np.array_equal(taps, want) and taps.sum() == 9 * 7.0
+            cols[0, 0, 0] = 1.0
+
+        def im2col(x):
+            padded = np.pad(x, ((0, 0), (0, 0), (2, 2), (0, 0)))
+            taps = np.lib.stride_tricks.sliding_window_view(padded, (5, 1), axis=(2, 3))
+            return taps.transpose(0, 1, 4, 5, 2, 3).reshape(2, 5, 24)
+
+        assert np.array_equal(cols, im2col(first))
+        pad(second)
+        assert np.array_equal(cols, im2col(second))  # the next call's write shows through
 
     @pytest.mark.parametrize("kh, kw, c, is_view", [(5, 1, 1, True), (1, 5, 1, False), (5, 1, 3, False), (1, 1, 3, True)])
     def test_columns_copy_or_view_as_the_strides_allow(self, kh, kw, c, is_view):
@@ -140,7 +151,7 @@ class TestConv2d:
         # read-only taps: numpy multiplies it without BLAS, and its bits differ
         # from a copy's; a reshape that must copy gives a writeable array
         x = np.random.default_rng(7).normal(size=(2, c, 4, 6))
-        cols = ad._columns(x, kh, kw)
+        cols = ad._padder(x.shape, kh, kw)(x)
         assert cols.shape == (2, c * kh * kw, 24)
         assert cols.flags.writeable != is_view
 
@@ -271,10 +282,10 @@ class TestSoftmax:
 
 class TestPointwise:
     def test_sigmoid_at_zero(self):
-        assert ad._sigmoid(np.array([0.0]))[0] == 0.5
+        assert gg._sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_sigmoid_extreme_inputs(self):
-        out = ad._sigmoid(np.array([-1000.0, 1000.0]))
+        out = gg._sigmoid(np.array([-1000.0, 1000.0]))
         assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
     def test_prelu_negative_branch(self):
@@ -316,7 +327,7 @@ class TestPointwise:
 
 
 def where_sigmoid(data):
-    """The split-by-sign sigmoid that ``ad._sigmoid`` replaced: the oracle for its bits."""
+    """The split-by-sign sigmoid that ``gg._sigmoid`` replaced: the oracle for its bits."""
     out = np.empty_like(data)
     pos = data >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-data[pos]))
@@ -366,7 +377,7 @@ class TestBranchFreeSelects:
         extremes = np.array([800.0, -800.0, np.inf, -np.inf, 745.0, -745.0])
         x = SELECT_INPUTS[case] if case < len(SELECT_INPUTS) else extremes
         with np.errstate(all="ignore"):
-            assert ad._sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+            assert gg._sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
 
     def test_non_scalar_slope_rejected(self):
         with pytest.raises(ShapeError, match="scalar"):
@@ -490,7 +501,7 @@ class TestFiniteDiffCheck:
         x = ad.Tensor(rng.uniform(0.5, 1.5, size=6))
 
         def f(t):
-            keep = ad.Tensor((ad._sigmoid(t.data) >= 0.5).astype(float))
+            keep = ad.Tensor((gg._sigmoid(t.data) >= 0.5).astype(float))
             return ad.tsum(t * keep)
 
         assert ad.finite_diff_check_params(lambda: f(x), {"x": x})["x"] < 1e-8
@@ -561,3 +572,52 @@ def test_softmax_rows_stochastic(rows, cols, seed):
     out = ad.softmax_lastdim(ad.Tensor(rng.normal(scale=3.0, size=(rows, cols)))).data
     assert np.all(out >= 0.0)
     assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+
+
+EXIT_CHECK = "_check_finite"  # the one private autodiff name other modules may call
+
+
+def autodiff_internals(source: str) -> list:
+    """Where ``source`` builds a tape node or reads a private autodiff name, as "line: what" strings.
+
+    A tape node is a ``Tensor(...)`` call that passes ``_parents`` or
+    ``_vjp``, by keyword or by position.
+    """
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules = {alias.asname or alias.name for node in imports if node.module in (None, "sgcn")
+               for alias in node.names if alias.name == "autodiff"}
+    found = [f"{node.lineno}: imports {alias.name}" for node in imports if node.module in ("autodiff", "sgcn.autodiff")
+             for alias in node.names if alias.name.startswith("_") and alias.name != EXIT_CHECK]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+                and node.attr.startswith("_") and node.attr != EXIT_CHECK):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Tensor":
+            if len(node.args) > 2 or {"_parents", "_vjp"} & {k.arg for k in node.keywords}:
+                found.append(f"{node.lineno}: builds a tape node")
+    return found
+
+
+def test_boundary_scan_finds_tape_nodes_and_private_names():
+    source = """
+from . import autodiff as ad
+from .autodiff import Tensor, _check_finite, _padder
+a = Tensor(x, _parents=(x,), _vjp=vjp)
+b = ad.Tensor(x, False, (x,), vjp)
+c = ad._correlate(x, k)
+ad._check_finite(c, "exit")
+d = Tensor(x, requires_grad=True)
+"""
+    assert autodiff_internals(source) == ["3: imports _padder", "4: builds a tape node",
+                                          "5: builds a tape node", "6: ad._correlate"]
+
+
+def test_only_autodiff_builds_tape_nodes():
+    # every other module reaches the tape through public primitives and
+    # calls no private autodiff name but the exit check
+    package = Path(ad.__file__).parent
+    found = {path.name: autodiff_internals(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "autodiff.py"}
+    assert len(found) > 5
+    assert not any(found.values()), found

@@ -62,6 +62,13 @@ def recorded_scores():
         yield calls
 
 
+def scored(*args, **kwargs):
+    """``ev.evaluate_best_of_k``'s report and each window's per-pedestrian (ADE, FDE) bytes."""
+    with recorded_scores() as scores:
+        report = ev.evaluate_best_of_k(*args, **kwargs)
+    return report, [(a.tobytes(), f.tobytes()) for a, f in scores[0]]
+
+
 class TestMetricOracles:
     def test_identical_paths_score_zero(self):
         gt = np.arange(24, dtype=float).reshape(4, 3, 2)
@@ -169,30 +176,33 @@ class TestBestOfK:
     def test_same_seed_repeats_exactly(self):
         scenes = random_scenes()
         weights = init_weights(SMALL_CFG, seed=2)
-        r1 = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=4, seed=9)
-        r2 = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=4, seed=9)
+        r1, bytes1 = scored(weights, SMALL_CFG, scenes, k=4, seed=9)
+        r2, bytes2 = scored(weights, SMALL_CFG, scenes, k=4, seed=9)
         assert r1.ade == r2.ade
         assert r1.fde == r2.fde
         assert r1.per_scene == r2.per_scene
+        assert bytes1 == bytes2
 
     def test_parallel_equals_serial(self):
         # every scene owns a spawned seed, so thread scheduling cannot
         # reorder randomness
         scenes = random_scenes(n_scenes=6)
         weights = init_weights(SMALL_CFG, seed=2)
-        serial = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=1)
-        parallel = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=3)
+        serial, serial_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=1)
+        parallel, parallel_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=3)
         assert serial.ade == parallel.ade
         assert serial.fde == parallel.fde
         assert serial.per_scene == parallel.per_scene
+        assert serial_bytes == parallel_bytes
 
     def test_two_threads_equal_one(self):
         # worker threads defer their own per-op checks; results do not move
         scenes = random_scenes(n_scenes=8, seed=3)
         weights = init_weights(SMALL_CFG, seed=2)
-        serial = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=1)
-        threaded = ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=2)
+        serial, serial_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=1)
+        threaded, threaded_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=2)
         assert (serial.ade, serial.fde, serial.per_scene) == (threaded.ade, threaded.fde, threaded.per_scene)
+        assert serial_bytes == threaded_bytes
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_nan_window_names_scene_op_and_stage(self, jobs):
@@ -209,6 +219,20 @@ class TestBestOfK:
             ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=jobs)
         with pytest.raises(NumericsError), np.errstate(over="ignore"):
             ad.exp(ad.Tensor(1000.0))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nan_weight_names_scene_op_and_stage(self, jobs):
+        # the constant weight copies are not checked one by one: the pass's
+        # exit check fails and the per-op rerun names the op of the bad weight
+        scenes = random_scenes(n_scenes=8, seed=3)
+        weights = init_weights(SMALL_CFG, seed=2)
+        weights["gcn_tmp2_w"].data[0, 0] = np.nan
+        first = scenes[0]
+        with pytest.raises(NumericsError, match=(
+            rf"^scene {first.scene_name}@frame{first.start_frame} \(N={first.n_pedestrians}\): "
+            r"non-finite values produced by 'gcn_layer' in stage 'branches'$"
+        )):
+            ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_grouped_report_matches_per_scene_loop(self, tmp_path, jobs):

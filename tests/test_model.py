@@ -40,7 +40,7 @@ def prelu_np(x, slope):
 
 
 def composed_gcn_layer(adjacency, features, weight, slope):
-    """The composed form of ``mm.gcn_layer``: the oracle for its output and gradients."""
+    """The composed form of ``ad.gcn_layer``: the oracle for its output and gradients."""
     return ad.prelu(ad.matmul(ad.matmul(ad.swap_last2(adjacency), features), weight), slope)
 
 
@@ -60,12 +60,12 @@ class TestGcnLayer:
         assert (pre < 0).any() and (pre > 0).any()  # both PReLU branches, so the slope gradient is exercised
         weights = np.random.default_rng(11).normal(size=pre.shape)
         params = dict(zip(("adjacency", "features", "weight", "slope"), operands))
-        errors = ad.finite_diff_check_params(lambda: ad.tsum(mm.gcn_layer(*operands) * weights), params)
+        errors = ad.finite_diff_check_params(lambda: ad.tsum(ad.gcn_layer(*operands) * weights), params)
         assert max(errors.values()) < 1e-4, errors
 
     def test_equals_the_composed_layer_bit_for_bit(self):
         got, want = gcn_operands(seed=12), gcn_operands(seed=12)
-        out, ref = mm.gcn_layer(*got), composed_gcn_layer(*want)
+        out, ref = ad.gcn_layer(*got), composed_gcn_layer(*want)
         assert np.array_equal(out.data, ref.data)
         weights = np.random.default_rng(13).normal(size=out.shape)
         ad.backward(ad.tsum(out * weights))
@@ -75,7 +75,7 @@ class TestGcnLayer:
 
     def test_identity_propagation(self):
         h = Tensor(np.abs(np.random.default_rng(0).normal(size=(3, 4))))
-        out = mm.gcn_layer(Tensor(np.eye(3)), h, Tensor(np.eye(4)), Tensor(0.25))
+        out = ad.gcn_layer(Tensor(np.eye(3)), h, Tensor(np.eye(4)), Tensor(0.25))
         assert_allclose(out.data, h.data)
 
     def test_one_hot_row_copies_influencer(self):
@@ -84,13 +84,13 @@ class TestGcnLayer:
         a[:, 2] = [1.0, 0.0, 0.0]  # node 2 aggregates node 0 only
         a[2, 2] = 0.0
         h = Tensor(np.abs(np.random.default_rng(1).normal(size=(3, 4))))
-        out = mm.gcn_layer(Tensor(a), h, Tensor(np.eye(4)), Tensor(0.25))
+        out = ad.gcn_layer(Tensor(a), h, Tensor(np.eye(4)), Tensor(0.25))
         assert_allclose(out.data[2], h.data[0])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         a, h, w = rng.normal(size=(3, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
-        out = mm.gcn_layer(Tensor(a), Tensor(h), Tensor(w), Tensor(0.3)).data
+        out = ad.gcn_layer(Tensor(a), Tensor(h), Tensor(w), Tensor(0.3)).data
         want = np.zeros((3, 4))
         for j in range(3):
             agg = np.zeros(4)
@@ -101,7 +101,7 @@ class TestGcnLayer:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            mm.gcn_layer(Tensor(np.eye(3)), Tensor(np.zeros((4, 4))), Tensor(np.eye(4)), Tensor(0.25))
+            ad.gcn_layer(Tensor(np.eye(3)), Tensor(np.zeros((4, 4))), Tensor(np.eye(4)), Tensor(0.25))
 
 
 def branch_fixture(seed, n=3, t=4, d=8):
@@ -165,7 +165,7 @@ class TestBranches:
     def test_identity_spatial_slices_do_not_mix_pedestrians(self):
         spa, tmp, h0_spa, _, w = branch_fixture(7)
         eye = Tensor(np.tile(np.eye(3), (4, 1, 1)))
-        out = mm.gcn_layer(eye, h0_spa, w["gcn_spa1_w"], w["gcn_spa1_slope"])
+        out = ad.gcn_layer(eye, h0_spa, w["gcn_spa1_w"], w["gcn_spa1_slope"])
         for t in range(4):
             for n in range(3):
                 want = prelu_np(h0_spa.data[t, n] @ w["gcn_spa1_w"].data, 0.25)
