@@ -5,15 +5,16 @@ closure on the output tensor; ``backward`` replays those records in
 reverse execution order and accumulates gradients into the leaves.
 The primitive set is exactly what the trajectory model needs: batched
 matmul, zero-padded 2-d convolution, masked softmax, a handful of
-pointwise functions, and three fused layers, each one tape node with a
-hand-written vjp: ``linear`` (``x @ w + b``), ``gcn_layer`` (a graph
-convolution: ``(A^T H) W`` then PReLU) and ``conv2d_prelu`` (a
-temporal-conv block: conv, PReLU and an optional residual).  A fused
-layer keeps only what its vjp reads and recomputes the rest, so a
-training tape stays small; its outputs and gradients equal those of the
-composed primitives bit for bit.  ``conv_cascade`` (the gate's features)
-maps plain arrays to plain arrays and records no node.  No other module
-builds tape nodes or im2col buffers.
+pointwise functions, ``take``, ``reshape``, ``tsum``, one transpose
+(``swapaxes``, which swaps two axes) and three fused layers, each one
+tape node with a hand-written vjp: ``linear`` (``x @ w + b``),
+``gcn_layer`` (a graph convolution: ``(A^T H) W`` then PReLU) and
+``conv2d_prelu`` (a temporal-conv block: conv, PReLU and an optional
+residual).  A fused layer keeps only what its vjp reads and recomputes
+the rest, so a training tape stays small; its outputs and gradients
+equal those of the composed primitives bit for bit.  ``conv_cascade``
+(the gate's features) maps plain arrays to plain arrays and records no
+node.  No other module builds tape nodes or im2col buffers.
 
 PReLU's select is a gather, not ``np.where``.  The sign of a
 pre-activation is data-dependent, and a select on a random mask cost
@@ -323,23 +324,14 @@ def reshape(x, shape) -> Tensor:
     return Tensor(out, _parents=(x,), _vjp=vjp, _op="reshape")
 
 
-def permute(x, axes) -> Tensor:
+def swapaxes(x, a: int, b: int) -> Tensor:
+    """Swap axes ``a`` and ``b``, as an ``np.swapaxes`` view; backward swaps the gradient back."""
     x = as_tensor(x)
-    axes = tuple(axes)
-    out = np.transpose(x.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def vjp(g):
-        return (np.transpose(g, inverse),)
+        return (np.swapaxes(g, a, b),)
 
-    return Tensor(out, _parents=(x,), _vjp=vjp, _op="permute")
-
-
-def swap_last2(x) -> Tensor:
-    """Transpose the trailing two axes (matrix transpose per batch slice)."""
-    x = as_tensor(x)
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return permute(x, axes)
+    return Tensor(np.swapaxes(x.data, a, b), _parents=(x,), _vjp=vjp, _op="swapaxes")
 
 
 def tsum(x, axis=None, keepdims=False) -> Tensor:

@@ -1,9 +1,11 @@
 """Sparse directed graph learning for pedestrian interactions and motion tendency.
 
-Two branches score pairwise influence with single-layer self-attention:
-the spatial branch relates pedestrians within each observed time step,
-the temporal branch relates time steps within each pedestrian (causally
-masked so no past step attends to the future).  The spatial branch first
+Two branches score pairwise influence with single-layer self-attention
+over the observed displacements, each lifted to D features by one
+``autodiff.linear``: the spatial branch relates pedestrians within each
+observed time step, the temporal branch relates time steps within each
+pedestrian (causally masked so no past step attends to the future) and
+adds a sinusoidal position table to its lift.  The spatial branch first
 mixes its per-step scores with a 1x1 conv over time channels.  Both then
 gate by one rule, ``sparsify``: entries whose asymmetric row/column conv
 features have sigmoid below the threshold xi are pruned (self-loops
@@ -16,6 +18,8 @@ Windows with the same pedestrian count N stack along a leading batch
 axis: displacements [B, T_obs, N, 2] give spatial slices [B, T_obs, N, N]
 and temporal slices [B*N, T_obs, T_obs], pedestrian-major.  A single
 window [T_obs, N, 2] takes the same path with no leading axis.
+``pedestrian_major`` and ``step_major`` convert between the two layouts,
+each one ``autodiff.swapaxes`` of axes -3 and -2 and one reshape.
 """
 
 from __future__ import annotations
@@ -56,14 +60,6 @@ def position_encoding_table(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def embed_nodes(nodes, w, b, encoding: np.ndarray | None = None) -> Tensor:
-    """Linear 2 -> D lift of coordinates, optionally offset by a position table."""
-    out = ad.linear(nodes, w, b)
-    if encoding is not None:
-        out = out + encoding
-    return out
-
-
 def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | bool = True) -> Tensor:
     """Row-stochastic scaled dot-product scores over the second-to-last axis.
 
@@ -75,7 +71,7 @@ def attention_scores(embeddings: Tensor, w_q, b_q, w_k, mask: np.ndarray | bool 
     q = ad.linear(embeddings, w_q, b_q)
     k = ad.matmul(embeddings, w_k)
     scale = float(np.sqrt(q.shape[-1]))
-    logits = ad.matmul(q, ad.swap_last2(k)) / scale
+    logits = ad.matmul(q, ad.swapaxes(k, -1, -2)) / scale
     return ad.softmax_lastdim(logits, mask=mask)
 
 
@@ -139,36 +135,28 @@ def _conv_stack(weights: dict, prefix: str, n_layers: int):
     ]
 
 
-def _swap_outer_pair(x: Tensor) -> Tensor:
-    """[..., A, B, D] -> [..., B, A, D]."""
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return ad.permute(x, axes)
-
-
 def pedestrian_major(x: Tensor) -> Tensor:
     """Step-major [..., T, N, D] -> pedestrian-major [(...)*N, T, D]."""
-    return ad.reshape(_swap_outer_pair(x), (-1, x.shape[-3], x.shape[-1]))
+    return ad.reshape(ad.swapaxes(x, -3, -2), (-1, x.shape[-3], x.shape[-1]))
 
 
 def step_major(x: Tensor, lead_shape: tuple, n: int) -> Tensor:
     """Pedestrian-major [(...)*N, T, D] -> step-major [..., T, N, D]; inverse of pedestrian_major."""
-    return _swap_outer_pair(ad.reshape(x, tuple(lead_shape) + (n,) + x.shape[-2:]))
+    return ad.swapaxes(ad.reshape(x, tuple(lead_shape) + (n,) + x.shape[-2:]), -3, -2)
 
 
 def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
     """Learn the pedestrian-interaction adjacency of one window or an equal-N group.
 
-    ``displacements`` is [T_obs, N, 2] or [B, T_obs, N, 2].  Returns
-    (SparseAdjacency with [..., T_obs, N, N] slices, node embeddings
+    ``displacements`` is a plain array [T_obs, N, 2] or [B, T_obs, N, 2].
+    Returns (SparseAdjacency with [..., T_obs, N, N] slices, node embeddings
     [..., T_obs, N, D] for the GCN).
     """
-    x = ad.as_tensor(displacements)
-    t_obs = x.shape[-3]
+    t_obs = displacements.shape[-3]
     if t_obs != cfg.t_obs:
         raise ConfigError(f"window has {t_obs} observed steps, config expects {cfg.t_obs}")
 
-    h0 = embed_nodes(x, weights["spa_embed_w"], weights["spa_embed_b"])
+    h0 = ad.linear(displacements, weights["spa_embed_w"], weights["spa_embed_b"])
     scores = attention_scores(h0, weights["spa_query_w"], weights["spa_query_b"], weights["spa_key_w"])
     fused = ad.conv2d_zero_pad(scores, weights["spa_fuse_k"], weights["spa_fuse_b"])
     features = ad.conv_cascade(fused.data, _conv_stack(weights, "spa", cfg.conv_layers))
@@ -178,20 +166,20 @@ def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
 def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
     """Learn each pedestrian's motion-tendency adjacency over time steps.
 
-    ``displacements`` is [T_obs, N, 2] or [B, T_obs, N, 2].  Returns
-    (SparseAdjacency with [B*N, T_obs, T_obs] slices, embeddings
+    ``displacements`` is a plain array [T_obs, N, 2] or [B, T_obs, N, 2].
+    Returns (SparseAdjacency with [B*N, T_obs, T_obs] slices, embeddings
     [B*N, T_obs, D]), pedestrian-major; B is 1 for a single window.
     Slices are upper triangular: a step only influences itself and later
     steps.  The score stack is used directly, with no channel fusion,
     because the pedestrian count varies scene to scene.
     """
-    x = pedestrian_major(ad.as_tensor(displacements))
-    t_obs = x.shape[-2]
+    t_obs = displacements.shape[-3]
     if t_obs != cfg.t_obs:
         raise ConfigError(f"window has {t_obs} observed steps, config expects {cfg.t_obs}")
 
-    encoding = position_encoding_table(t_obs, cfg.embed_dim)
-    h0 = embed_nodes(x, weights["tmp_embed_w"], weights["tmp_embed_b"], encoding)
+    per_pedestrian = np.swapaxes(displacements, -3, -2).reshape(-1, t_obs, displacements.shape[-1])
+    h0 = ad.linear(per_pedestrian, weights["tmp_embed_w"], weights["tmp_embed_b"])
+    h0 = h0 + position_encoding_table(t_obs, cfg.embed_dim)
     causal = np.triu(np.ones((t_obs, t_obs), dtype=bool))
     scores = attention_scores(h0, weights["tmp_query_w"], weights["tmp_query_b"], weights["tmp_key_w"], mask=causal)
     stacked = scores.data.reshape(-1, 1, t_obs, t_obs)

@@ -46,6 +46,10 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones((3, 2))))
 
+    def test_batch_extent_mismatch(self):
+        with pytest.raises(ShapeError, match=r"batch extents incompatible: \(2, 2, 3\) @ \(3, 3, 4\)"):
+            ad.matmul(ad.Tensor(np.ones((2, 2, 3))), ad.Tensor(np.ones((3, 3, 4))))
+
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 2, 3))
@@ -105,6 +109,16 @@ class TestConv2d:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             ad.conv2d_zero_pad(ad.Tensor(np.ones((2, 3, 3))), ad.Tensor(np.ones((1, 3, 1, 1))), np.zeros(1))
+
+    @pytest.mark.parametrize("kernel_shape, bias_shape, match", [
+        ((1, 1, 3), (1,), r"kernels must be 4-d, got \(1, 1, 3\)"),
+        ((1, 1, 1, 3, 1), (1,), r"kernels must be 4-d, got \(1, 1, 1, 3, 1\)"),
+        ((2, 1, 1, 3), (1,), r"bias shape \(1,\) != \(2,\)"),
+        ((2, 1, 1, 3), (2, 1), r"bias shape \(2, 1\) != \(2,\)"),
+    ])
+    def test_kernel_rank_and_bias_shape_rejected(self, kernel_shape, bias_shape, match):
+        with pytest.raises(ShapeError, match=match):
+            ad.conv2d_zero_pad(ad.Tensor(np.ones((1, 3, 3))), ad.Tensor(np.ones(kernel_shape)), np.zeros(bias_shape))
 
     def test_batched_equals_per_sample(self):
         rng = np.random.default_rng(3)
@@ -520,7 +534,7 @@ PRIMITIVE_CASES = {
     "prelu": lambda t: ad.tsum(ad.prelu(t, ad.Tensor(0.25))),
     "take": lambda t: ad.tsum(t[1:4] * 2.0),
     "reshape": lambda t: ad.tsum(ad.reshape(t, (3, 2)) * np.arange(6.0).reshape(3, 2)),
-    "permute": lambda t: ad.tsum(ad.permute(ad.reshape(t, (2, 3)), (1, 0)) * 1.5),
+    "swapaxes": lambda t: ad.tsum(ad.swapaxes(ad.reshape(t, (1, 2, 3)), -1, -3) * np.arange(6.0).reshape(3, 2, 1)),
     "sum_axis": lambda t: ad.tsum(ad.tsum(ad.reshape(t, (2, 3)), axis=0) * np.array([1.0, 2.0, 3.0])),
     "softmax": lambda t: ad.tsum(ad.softmax_lastdim(t) * np.arange(6.0)),
     "softmax_masked": lambda t: ad.tsum(

@@ -137,6 +137,14 @@ class TestConfigResolution:
         assert f"{cfg}:4: key epochs given twice (first on line 2)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_line_without_equals_exits_2(self, fixture_root, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_root={fixture_root}\n\n# a comment\nepochs 5\n")
+        out = tmp_path / "o"
+        assert run_cli(["train", "--config", cfg, "--holdout", "DUMMY", "--out", out]) == 2
+        assert f"{cfg}:4: expected key=value, got 'epochs 5'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_undecodable_byte_exits_2(self, fixture_root, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(f"data_root={fixture_root}\n".encode() + b"holdout=\xff\n")

@@ -50,6 +50,12 @@ class TestLoadSceneFile:
         with pytest.raises(DataError, match="bad.txt:3: position fields must be finite"):
             dd.load_scene_file(p)
 
+    @pytest.mark.parametrize("x, y", [("abc", "1.0"), ("0.5", "1,5")])
+    def test_non_numeric_position_rejected_with_line_number(self, tmp_path, x, y):
+        p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", "", f"20 1 {x} {y}", "30 1 2.7 3.7"])
+        with pytest.raises(DataError, match="bad.txt:3: position fields must be numeric"):
+            dd.load_scene_file(p)
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_frame_id_rejected_with_line_number(self, tmp_path, token):
         p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", f"{token} 1 2.5 3.5"])
@@ -235,6 +241,11 @@ class TestWindowScenes:
         scenes = dd.window_scenes(table, 8, 12)
         assert len(scenes) == 1
         assert scenes[0].pedestrian_ids == (1,)
+
+    @pytest.mark.parametrize("t_obs, t_pred", [(0, 12), (8, 0), (-1, -1)])
+    def test_horizon_below_one_rejected(self, t_obs, t_pred):
+        with pytest.raises(ConfigError, match=rf"t_obs, t_pred must be >= 1, got {t_obs}, {t_pred}"):
+            dd.window_scenes(make_table(walk_rows(1, 0, 20)), t_obs, t_pred)
 
     def test_too_short_table_yields_nothing(self):
         table = make_table(walk_rows(1, 0, 19))
@@ -477,6 +488,11 @@ class TestSplit:
         assert all(s.scene_name == "ZARA1" for s in split.test_scenes)
         assert all(s.scene_name != "ZARA1" for s in split.train_scenes)
         assert {s.scene_name for s in split.train_scenes} == {"ETH", "HOTEL", "UNIV", "ZARA2"}
+
+    def test_directory_without_scene_files_rejected(self, tmp_path):
+        (tmp_path / "notes.csv").write_text("10 1 2.5 3.5\n")
+        with pytest.raises(DataError, match=rf"no \*\.txt scene files under {re.escape(str(tmp_path))}$"):
+            dd.load_dataset(tmp_path)
 
     def test_unknown_holdout(self, tmp_path):
         with pytest.raises(ConfigError, match="FOO"):

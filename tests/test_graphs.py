@@ -47,26 +47,49 @@ class TestPositionEncoding:
 
 
 class TestEmbedNodes:
+    """The node lift h0 that each graph builder returns: ``autodiff.linear``, plus the position table for the temporal graph."""
+
     def test_zero_nodes_zero_bias(self):
-        w = Tensor(np.ones((2, 8)))
-        b = Tensor(np.zeros(8))
-        out = gg.embed_nodes(np.zeros((3, 2, 2)), w, b)
-        assert_allclose(out.data, 0.0)
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=0)  # random embedding weights, zero biases
+        spatial_h0 = gg.build_spatial_graph(np.zeros((4, 3, 2)), w, cfg)[1]
+        assert np.array_equal(spatial_h0.data, np.zeros((4, 3, 16)))
+        w["tmp_embed_w"].data[...] = 0.0
+        w["tmp_embed_b"].data[...] = 0.0
+        temporal_h0 = gg.build_temporal_graph(np.zeros((4, 3, 2)), w, cfg)[1]
+        assert np.array_equal(temporal_h0.data, np.broadcast_to(gg.position_encoding_table(4, 16), (3, 4, 16)))
 
     def test_encoding_breaks_coordinate_ties(self):
-        rng = np.random.default_rng(0)
-        w = Tensor(rng.normal(size=(2, 8)))
-        b = Tensor(np.zeros(8))
-        nodes = np.ones((1, 2, 2))  # same coordinates at two time steps
-        enc = gg.position_encoding_table(2, 8)
-        out = gg.embed_nodes(nodes, w, b, enc)
-        assert not np.allclose(out.data[0, 0], out.data[0, 1])
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=0)
+        disp = np.ones((4, 2, 2))  # the same displacement at every step
+        spatial_h0 = gg.build_spatial_graph(disp, w, cfg)[1]
+        temporal_h0 = gg.build_temporal_graph(disp, w, cfg)[1]
+        assert np.array_equal(spatial_h0.data[0, 0], spatial_h0.data[1, 0])
+        assert not np.allclose(temporal_h0.data[0, 0], temporal_h0.data[0, 1])
 
     def test_zero_weights_pass_encoding_through(self):
-        enc = gg.position_encoding_table(3, 8)
-        out = gg.embed_nodes(np.ones((2, 3, 2)), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8)), enc)
-        assert_allclose(out.data[0], enc)
-        assert_allclose(out.data[1], enc)
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=0)
+        w["tmp_embed_w"].data[...] = 0.0
+        w["tmp_embed_b"].data[...] = 0.0
+        table = gg.position_encoding_table(4, 16)
+        disp = np.random.default_rng(1).normal(size=(2, 4, 3, 2))  # a group of 2 windows, 3 pedestrians each
+        h0 = gg.build_temporal_graph(disp, w, cfg)[1]
+        assert h0.shape == (6, 4, 16)
+        for row in h0.data:
+            assert np.array_equal(row, table)
+
+    def test_temporal_lift_is_pedestrian_major(self):
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=1)
+        disp = np.random.default_rng(2).normal(size=(2, 4, 3, 2))
+        h0 = gg.build_temporal_graph(disp, w, cfg)[1]
+        table = gg.position_encoding_table(4, 16)
+        for b in range(2):
+            for i in range(3):
+                lift = ad.linear(disp[b, :, i], w["tmp_embed_w"], w["tmp_embed_b"]).data + table
+                assert_allclose(h0.data[b * 3 + i], lift, rtol=0, atol=1e-12)
 
 
 class TestAttentionScores:
@@ -328,6 +351,23 @@ class TestZeroSoftmax:
             gg.zero_softmax(Tensor([row]))
 
 
+class TestLayouts:
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["window", "group_of_1", "group_of_3"])
+    def test_step_major_inverts_pedestrian_major(self, lead):
+        rng = np.random.default_rng(len(lead) + sum(lead))
+        x = Tensor(rng.normal(size=lead + (4, 5, 6)), requires_grad=True)  # [..., T, N, D]
+        per_pedestrian = gg.pedestrian_major(x)
+        assert per_pedestrian.shape == (int(np.prod(lead)) * 5, 4, 6)
+        for b in range(int(np.prod(lead))):
+            for i in range(5):
+                assert np.array_equal(per_pedestrian.data[b * 5 + i], x.data.reshape(-1, 4, 5, 6)[b, :, i])
+        back = gg.step_major(per_pedestrian, lead, 5)
+        assert back.data.tobytes() == x.data.tobytes()
+        upstream = rng.normal(size=x.shape)
+        ad.backward(ad.tsum(back * upstream))
+        assert x.grad.tobytes() == upstream.tobytes()
+
+
 class TestBuildSpatialGraph:
     def test_shapes_and_h0(self):
         cfg = small_cfg()
@@ -383,6 +423,12 @@ class TestBuildSpatialGraph:
 
 
 class TestBuildTemporalGraph:
+    def test_wrong_window_length_rejected(self):
+        cfg = small_cfg()
+        w = mm.init_weights(cfg, seed=0)
+        with pytest.raises(ConfigError, match="window has 6 observed steps, config expects 4"):
+            gg.build_temporal_graph(scene(np.random.default_rng(17), 6, 3), w, cfg)
+
     def test_shapes(self):
         cfg = small_cfg()
         w = mm.init_weights(cfg, seed=3)

@@ -16,7 +16,7 @@ from sgcn import model as mm
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig
 from sgcn.data import TrajectoryScene
-from sgcn.errors import CheckpointError, NumericsError, ShapeError
+from sgcn.errors import CheckpointError, ConfigError, NumericsError, ShapeError
 
 
 def small_cfg(**kw):
@@ -41,7 +41,7 @@ def prelu_np(x, slope):
 
 def composed_gcn_layer(adjacency, features, weight, slope):
     """The composed form of ``ad.gcn_layer``: the oracle for its output and gradients."""
-    return ad.prelu(ad.matmul(ad.matmul(ad.swap_last2(adjacency), features), weight), slope)
+    return ad.prelu(ad.matmul(ad.matmul(ad.swapaxes(adjacency, -1, -2), features), weight), slope)
 
 
 def gcn_operands(seed):
@@ -51,6 +51,16 @@ def gcn_operands(seed):
             Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True),
             Tensor(rng.normal(size=(5, 5)) * 0.5, requires_grad=True),
             Tensor(0.25, requires_grad=True)]
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("conv_kernel", 4, "conv_kernel must be odd and >= 1, got 4"),
+    ("tcn_layers", 1, r"tcn_layers must be >= 2 \(head needs an entry layer\), got 1"),
+    ("embed_dim", 15, "embed_dim must be even for the sin/cos position table, got 15"),
+])
+def test_model_config_rejects_out_of_range_fields(field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        ModelConfig(**{field: value})
 
 
 class TestGcnLayer:
@@ -534,6 +544,7 @@ class TestCheckpoint:
         (b"xi=0.5\n", b"xi=0.9\nxi=0.5\n", "header line 9: config field xi given twice"),
         (b"xi=0.5\n", b"xi=0.5\nbogus=1\n", "header line 9: 'bogus=1' is neither a config field nor a param line"),
         (b"xi=0.5\n", b"xi=0.5\nstray\n", "header line 9: 'stray' is neither a config field nor a param line"),
+        (b"xi=0.5\n", b"", "header missing config field 'xi'"),
     ])
     def test_malformed_header_value_names_file(self, tmp_path, old, new, match):
         cfg = small_cfg()

@@ -211,6 +211,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="lr must be positive and finite"):
             TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5, float("nan")])
+    def test_decay_factor_outside_unit_interval_rejected(self, factor):
+        with pytest.raises(ConfigError, match=r"lr_decay_factor must lie in \(0, 1\]"):
+            TrainConfig(lr_decay_factor=factor)
+
 
 class TestSchedule:
     def test_stepped_decay_values(self):
