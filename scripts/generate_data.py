@@ -28,7 +28,8 @@ def main(argv=None) -> int:
     paths = write_dataset(args.out, n_steps=args.steps)
     for name in sorted(SCENE_SEEDS):
         path = paths[name]
-        n_rows = sum(1 for _ in open(path))
+        with open(path) as lines:
+            n_rows = sum(1 for _ in lines)
         print(f"{name:<6} {path}  ({n_rows} rows)")
     print(f"done: {len(paths)} scenes under {Path(args.out).resolve()}")
     return 0

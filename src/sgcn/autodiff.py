@@ -132,9 +132,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -150,14 +147,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)

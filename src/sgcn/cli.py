@@ -65,13 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(key: str, text: str):
-    try:
-        return _KEY_TYPES[key](text)
-    except ValueError as err:
-        raise ConfigError(f"config key {key}: {err}") from err
-
-
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
     """Merge defaults, environment, config file, and flags.
 
@@ -90,7 +83,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
                 continue  # the subcommand on the command line governs
             if key not in values:
                 raise ConfigError(f"{args.config}: unknown config key {key!r}")
-            values[key] = _coerce(key, text)
+            try:
+                values[key] = _KEY_TYPES[key](text)
+            except ValueError as err:
+                raise ConfigError(f"config key {key}: {err}") from err
             explicit.add(key)
     for key in _FLAGS:
         flag = getattr(args, key)
@@ -157,6 +153,8 @@ def cmd_train(run: RunConfig, explicit: set) -> int:
 def cmd_eval(run: RunConfig, explicit: set) -> int:
     weights, cfg = _load_weights(run, explicit)
     scenes = window_scenes(holdout_table(_load_tables(run), run.holdout), cfg.t_obs, cfg.t_pred)
+    if not scenes:
+        raise ConfigError(f"the holdout {run.holdout!r} has no complete window to evaluate")
     report = evaluate_best_of_k(weights, cfg, scenes, k=run.num_samples, seed=run.seed)
     out = _prepare_out(run, cfg)
     write_metrics_csv(report, out / "metrics.csv")

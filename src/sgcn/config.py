@@ -66,9 +66,9 @@ class TrainConfig:
 def read_config_file(path) -> dict:
     """Parse a flat key=value utf-8 config file into a string->string dict.
 
-    Blank lines and #-comments are ignored.  Values never contain '='
-    interpretation beyond the first occurrence.  A key given twice or a
-    byte that is not utf-8 text raises a ``ConfigError`` naming the line.
+    Blank lines and #-comments are ignored.  A line splits at its first
+    '=', so a value may itself contain '='.  A key given twice or a byte
+    that is not utf-8 text raises a ``ConfigError`` naming the line.
     """
     result, first_line = {}, {}
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")  # a bad byte reads as a lone surrogate

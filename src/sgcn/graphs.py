@@ -81,14 +81,6 @@ def _sigmoid(data: np.ndarray) -> np.ndarray:
     return np.maximum(e, data >= 0) / (1.0 + e)  # e <= 1, so the max picks 1 where x >= 0
 
 
-def sparse_mask(features: np.ndarray, xi: float) -> np.ndarray:
-    """Keep-pattern 1{sigmoid(F) >= xi}; a hard gate, constant to backward.
-
-    ``xi`` comes from ModelConfig, which keeps it in [0, 1].
-    """
-    return _sigmoid(np.asarray(features, dtype=np.float64)) >= xi
-
-
 def zero_softmax(x: Tensor) -> Tensor:
     """Row renormalization mapping exact zeros to exact zeros.
 
@@ -118,7 +110,7 @@ def sparsify(scores: Tensor, features: np.ndarray, xi: float, allowed=True) -> S
     its edge without an error.
     """
     ad._check_finite(features, "gate features")
-    keep = (sparse_mask(features, xi) | np.eye(scores.shape[-1], dtype=bool)) & allowed
+    keep = ((_sigmoid(features) >= xi) | np.eye(scores.shape[-1], dtype=bool)) & allowed
     return SparseAdjacency(normalized=zero_softmax(scores * keep), mask=keep)
 
 

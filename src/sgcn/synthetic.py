@@ -33,9 +33,8 @@ def _edge_point(rng, edge: int) -> np.ndarray:
 
 
 class _Walker:
-    def __init__(self, rng, pid: int, born: int):
+    def __init__(self, rng, pid: int):
         self.pid = pid
-        self.born = born
         edge = rng.integers(_EDGES)
         self.pos = _edge_point(rng, edge)
         exit_edge = (edge + rng.integers(1, _EDGES)) % _EDGES
@@ -63,11 +62,11 @@ def generate_scene_rows(seed: int, n_steps: int = 520, spawn_prob: float = 0.35)
     walkers = []
     next_pid = 1
     for _ in range(3):  # initial crowd
-        walkers.append(_Walker(rng, next_pid, 0))
+        walkers.append(_Walker(rng, next_pid))
         next_pid += 1
     for t in range(n_steps):
         if rng.uniform() < spawn_prob or not walkers:
-            walkers.append(_Walker(rng, next_pid, t))
+            walkers.append(_Walker(rng, next_pid))
             next_pid += 1
         for w in walkers:
             p = _snap(w.pos)

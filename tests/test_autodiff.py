@@ -474,6 +474,8 @@ class TestBackward:
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
             ad.backward(x * x)
+        with pytest.raises(ShapeError, match=r"^item\(\) on tensor of shape \(2,\)$"):
+            x.item()
 
     def test_accumulation_across_calls(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)

@@ -323,6 +323,16 @@ class TestTrainCommand:
         _, cfg = load_checkpoint(out / "checkpoint.ckpt")
         assert cfg.xi == 0.75
 
+    def test_value_splits_at_first_equals(self, fixture_root, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_root={fixture_root}\nholdout=DUMMY\nepochs=1\nbatch_size=2\nout=runs/a=b\n")
+        run, _ = cli.resolve_config(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
+        assert run.out == "runs/a=b"
+        assert run_cli(["train", "--config", cfg]) == 0
+        echoed = tmp_path / "runs" / "a=b" / "resolved.cfg"
+        assert cli.resolve_config(cli.build_parser().parse_args(["train", "--config", str(echoed)]))[0] == run
+
     def test_resolved_config_reproduces_run(self, fixture_root, tmp_path):
         first = tmp_path / "first"
         args = [
@@ -380,6 +390,19 @@ class TestEvalCommand:
             "--data-root", overfit_run.data_root, "--holdout", "FIX2", "--out", tmp_path / "o",
         ]) == 0
         assert cut == ["FIX2"]
+
+    def test_holdout_without_window_is_named(self, overfit_run, tmp_path, capsys):
+        # two frames hold no 8 + 12 step window
+        root = tmp_path / "data"
+        root.mkdir()
+        write_trajectory_file(root / "tiny.txt", fixture_positions([[0.3, 0.0]], [[0.0, 0.0]], 1, steps=2))
+        out = tmp_path / "o"
+        code = run_cli([
+            "eval", "--checkpoint", overfit_run.checkpoint, "--data-root", root, "--holdout", "TINY", "--out", out,
+        ])
+        assert code == 2
+        assert "the holdout 'TINY' has no complete window to evaluate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_holdout_lists_scenes(self, overfit_run, tmp_path, capsys):
         code = run_cli([

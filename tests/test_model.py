@@ -406,7 +406,7 @@ class TestFiniteExits:
 
     def test_nan_gate_features_would_prune_every_edge(self):
         # why the gate features are an exit: an unchecked NaN keeps only the diagonal
-        assert not gg.sparse_mask(np.full((3, 3), np.nan), 0.0).any()
+        assert not (gg._sigmoid(np.full((3, 3), np.nan)) >= 0.0).any()
         with pytest.raises(NumericsError, match="'gate features'"):
             gg.sparsify(Tensor(np.ones((3, 3))), np.full((3, 3), np.nan), 0.5)
 
