@@ -1,22 +1,1 @@
 """Sparse graph convolution network for pedestrian trajectory prediction."""
-
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    NumericsError,
-    SgcnError,
-    ShapeError,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CheckpointError",
-    "ConfigError",
-    "DataError",
-    "NumericsError",
-    "SgcnError",
-    "ShapeError",
-    "__version__",
-]

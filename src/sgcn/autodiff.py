@@ -463,8 +463,8 @@ def _conv_vjp(g: np.ndarray, kernels: np.ndarray, cols: np.ndarray) -> tuple:
     return gx, gk.reshape(kernels.shape), g.sum(axis=(0, 2, 3))
 
 
-def _check_conv(x: Tensor, kernels: Tensor, bias: Tensor) -> None:
-    """The operand checks of a zero-padded conv; see :func:`conv2d_zero_pad`."""
+def _check_conv(x, kernels: Tensor, bias: Tensor, same_channels: bool = False) -> None:
+    """The operand checks of a zero-padded conv (see :func:`conv2d_zero_pad`); ``same_channels`` also needs C_out == C_in."""
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be 4-d, got {kernels.shape}")
     c_out, c_in, kh, kw = kernels.shape
@@ -474,6 +474,15 @@ def _check_conv(x: Tensor, kernels: Tensor, bias: Tensor) -> None:
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
     if x.ndim < 3 or x.shape[-3] != c_in:
         raise ShapeError(f"conv input must be [..., {c_in}, H, W] for kernel C_in {c_in}, got {x.shape}")
+    if same_channels and c_out != c_in:
+        raise ShapeError(f"kernels {kernels.shape} must keep the {c_in} channels, as a residual block and the cascade do")
+
+
+def _conv(x: np.ndarray, kernels: Tensor, bias: Tensor, cols: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_correlate` of x [B, C_in, H, W] with ``kernels``, plus the per-output-channel ``bias``."""
+    out = _correlate(x, kernels.data, cols)
+    out += bias.data[:, None, None]
+    return out
 
 
 def conv2d_zero_pad(x, kernels, bias) -> Tensor:
@@ -491,8 +500,7 @@ def conv2d_zero_pad(x, kernels, bias) -> Tensor:
     c_out, c_in, kh, kw = kernels.shape
     height, width = x.shape[-2:]
     flat = x.data.reshape(-1, c_in, height, width)
-    out = _correlate(flat, kernels.data)
-    out += bias.data[:, None, None]
+    out = _conv(flat, kernels, bias)
 
     def vjp(g):
         cols = _padder(flat.shape, kh, kw)(flat)
@@ -511,20 +519,12 @@ def conv2d_prelu(x, kernels, bias, slope, residual: bool = False) -> Tensor:
     A residual block needs C_out == C_in.
     """
     x, kernels, bias, slope = as_tensor(x), as_tensor(kernels), as_tensor(bias), as_tensor(slope)
-    _check_conv(x, kernels, bias)
+    _check_conv(x, kernels, bias, same_channels=residual)
     c_out, c_in, kh, kw = kernels.shape
-    if residual and c_out != c_in:
-        raise ShapeError(f"a residual block needs C_out == C_in, got kernels {kernels.shape}")
     height, width = x.shape[-2:]
     flat = x.data.reshape(-1, c_in, height, width)
     out_shape = x.shape[:-3] + (c_out, height, width)
-
-    def pre_activation(cols=None):
-        pre = _correlate(flat, kernels.data, cols)
-        pre += bias.data[:, None, None]
-        return pre.reshape(out_shape)
-
-    out = pre_activation()
+    out = _conv(flat, kernels, bias).reshape(out_shape)
     neg = out < 0
     out *= _prelu_factor(neg, slope)
     if residual:
@@ -532,7 +532,8 @@ def conv2d_prelu(x, kernels, bias, slope, residual: bool = False) -> Tensor:
 
     def vjp(g):
         cols = _padder(flat.shape, kh, kw)(flat)
-        g_pre, g_slope = _prelu_vjp(g, pre_activation(cols), neg, slope)
+        # the recomputed pre-activation is freed when _prelu_vjp returns, before the conv gradients
+        g_pre, g_slope = _prelu_vjp(g, _conv(flat, kernels, bias, cols).reshape(out_shape), neg, slope)
         gx, gk, gb = _conv_vjp(g_pre.reshape(-1, c_out, height, width), kernels.data, cols)
         gx = gx.reshape(x.shape)
         return (g + gx if residual else gx), gk, gb, g_slope
@@ -560,14 +561,11 @@ def conv_cascade(x: np.ndarray, layers) -> np.ndarray:
     padders = {}  # (kh, kw) -> the padder of that kernel extent
 
     def conv(layer_in, kernels, bias):
-        _check_conv(x, kernels, bias)
-        if kernels.shape[0] != c:
-            raise ShapeError(f"cascade kernels must keep the {c} channels, got {kernels.shape}")
+        _check_conv(x, kernels, bias, same_channels=True)
         extent = kernels.shape[2:]
         if extent not in padders:
             padders[extent] = _padder(layer_in.shape, *extent)
-        f = _correlate(layer_in, kernels.data, padders[extent](layer_in))
-        f += bias.data[:, None, None]
+        f = _conv(layer_in, kernels, bias, padders[extent](layer_in))
         _check_op(f, "conv2d")
         return f
 

@@ -25,7 +25,7 @@ class ModelConfig:
     xi: float = 0.5
 
     def __post_init__(self):
-        for name in ("t_obs", "t_pred", "embed_dim", "conv_layers", "tcn_layers"):
+        for name in ("t_obs", "t_pred", "embed_dim", "conv_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:

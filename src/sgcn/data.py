@@ -31,9 +31,6 @@ class RawTrajectoryTable:
     ped_ids: np.ndarray
     xy: np.ndarray
 
-    def __len__(self):
-        return len(self.frames)
-
 
 @dataclass(frozen=True)
 class TrajectoryScene:
@@ -283,12 +280,18 @@ def last_observation(table: RawTrajectoryTable, t_obs: int, source) -> tuple:
 
 
 def load_dataset(data_root) -> dict:
-    """Map scene name -> table for every *.txt file under ``data_root``."""
+    """Map scene name -> table for every *.txt file under ``data_root``.
+
+    A scene name holding a comma is refused: it would split its row of
+    the comma-separated ``metrics.csv``.
+    """
     root = Path(data_root)
     if not root.is_dir():
         raise DataError(f"data root {root} is not a directory")
     tables, sources = {}, {}
     for path in sorted(root.glob("*.txt")):
+        if "," in path.stem:
+            raise DataError(f"{path}: scene name {path.stem.upper()!r} holds a ',', the field separator of metrics.csv")
         table = load_scene_file(path)
         if table.name in tables:
             raise DataError(f"{sources[table.name]} and {path} both name scene {table.name}")

@@ -31,7 +31,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .errors import ConfigError
 
 ZERO_SOFTMAX_EPS = 1e-12
 
@@ -49,9 +48,7 @@ class SparseAdjacency:
 
 
 def position_encoding_table(length: int, dim: int) -> np.ndarray:
-    """Fixed sinusoidal table: sin on even feature indices, cos on odd."""
-    if dim % 2:
-        raise ConfigError(f"position encoding dim must be even, got {dim}")
+    """Fixed sinusoidal table: sin on even feature indices, cos on odd; ``dim`` is even (see ``ModelConfig``)."""
     pos = np.arange(length)[:, None]
     freq = np.power(10000.0, -np.arange(0, dim, 2) / dim)[None, :]
     table = np.empty((length, dim))
@@ -140,14 +137,10 @@ def step_major(x: Tensor, lead_shape: tuple, n: int) -> Tensor:
 def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
     """Learn the pedestrian-interaction adjacency of one window or an equal-N group.
 
-    ``displacements`` is a plain array [T_obs, N, 2] or [B, T_obs, N, 2].
+    ``displacements`` is a plain array [T_obs, N, 2] or [B, T_obs, N, 2]; ``model.forward`` checks T_obs.
     Returns (SparseAdjacency with [..., T_obs, N, N] slices, node embeddings
     [..., T_obs, N, D] for the GCN).
     """
-    t_obs = displacements.shape[-3]
-    if t_obs != cfg.t_obs:
-        raise ConfigError(f"window has {t_obs} observed steps, config expects {cfg.t_obs}")
-
     h0 = ad.linear(displacements, weights["spa_embed_w"], weights["spa_embed_b"])
     scores = attention_scores(h0, weights["spa_query_w"], weights["spa_query_b"], weights["spa_key_w"])
     fused = ad.conv2d_zero_pad(scores, weights["spa_fuse_k"], weights["spa_fuse_b"])
@@ -158,7 +151,7 @@ def build_spatial_graph(displacements, weights: dict, cfg: ModelConfig):
 def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
     """Learn each pedestrian's motion-tendency adjacency over time steps.
 
-    ``displacements`` is a plain array [T_obs, N, 2] or [B, T_obs, N, 2].
+    ``displacements`` is a plain array [T_obs, N, 2] or [B, T_obs, N, 2]; ``model.forward`` checks T_obs.
     Returns (SparseAdjacency with [B*N, T_obs, T_obs] slices, embeddings
     [B*N, T_obs, D]), pedestrian-major; B is 1 for a single window.
     Slices are upper triangular: a step only influences itself and later
@@ -166,9 +159,6 @@ def build_temporal_graph(displacements, weights: dict, cfg: ModelConfig):
     because the pedestrian count varies scene to scene.
     """
     t_obs = displacements.shape[-3]
-    if t_obs != cfg.t_obs:
-        raise ConfigError(f"window has {t_obs} observed steps, config expects {cfg.t_obs}")
-
     per_pedestrian = np.swapaxes(displacements, -3, -2).reshape(-1, t_obs, displacements.shape[-1])
     h0 = ad.linear(per_pedestrian, weights["tmp_embed_w"], weights["tmp_embed_b"])
     h0 = h0 + position_encoding_table(t_obs, cfg.embed_dim)

@@ -219,6 +219,8 @@ def forward(displacements, weights: dict, cfg: ModelConfig):
 
     Returns (raw, spatial SparseAdjacency, temporal SparseAdjacency).
     """
+    if displacements.shape[-3] != cfg.t_obs:  # the one check for both graph builders
+        raise ConfigError(f"window has {displacements.shape[-3]} observed steps, config expects {cfg.t_obs}")
     with ad.scope(stage="spatial_graph"):
         spa, h0_spa = build_spatial_graph(displacements, weights, cfg)
     with ad.scope(stage="temporal_graph"):
@@ -246,12 +248,11 @@ def gaussian_scales(raw: Tensor) -> tuple:
     return sigma_x, sigma_y, ad.clamp(ad.tanh(raw[..., 4]), lo=-RHO_LIMIT, hi=RHO_LIMIT)
 
 
-def to_gaussian(raw) -> BiGaussianParams:
-    """Split raw 5-vectors into plain-array (mu, sigma, rho) through :func:`gaussian_scales`."""
-    values = raw.data if isinstance(raw, Tensor) else np.asarray(raw)
-    sigma_x, sigma_y, rho = gaussian_scales(Tensor(values))
+def to_gaussian(raw: Tensor) -> BiGaussianParams:
+    """Split the head output's raw 5-vectors into plain-array (mu, sigma, rho) through :func:`gaussian_scales`."""
+    sigma_x, sigma_y, rho = gaussian_scales(raw)
     return BiGaussianParams(
-        mu=values[..., 0:2].copy(),
+        mu=raw.data[..., 0:2].copy(),
         sigma=np.stack([sigma_x.data, sigma_y.data], axis=-1),
         rho=rho.data,
     )
@@ -262,35 +263,25 @@ def predict(displacements, weights: dict, cfg: ModelConfig) -> BiGaussianParams:
     return to_gaussian(raw)
 
 
-def draw_normals(rng, k: int, shape: tuple) -> np.ndarray:
-    """Standard normals for ``k`` draws of ``shape`` each: the draw half of sampling.
-
-    ``rng`` is one Generator -> [k, *shape], or a sequence of B
-    generators, one per window of a group -> [B, k, *shape].  Window b's
-    slice is filled by ``rng[b]`` alone, so it holds the same values as
-    ``rng[b].standard_normal((k,) + shape)``, whatever the group.
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal((k,) + shape)
-    eps = np.empty((len(rng), k) + shape)
-    for generator, out in zip(rng, eps):
-        generator.standard_normal(out=out)
-    return eps
-
-
 def sample_displacements(params: BiGaussianParams, rng, k: int) -> np.ndarray:
     """``k`` correlated draws per (step, pedestrian) -> [..., k, T_pred, N, 2].
 
     ``params`` is one window's ([T_pred, N, 2] means) with one Generator,
-    or a group's with a leading window axis ([B, T_pred, N, 2]) with one
-    generator per window (see :func:`draw_normals`).  The covariance
-    [[sx^2, r sx sy], [r sx sy, sy^2]] factors as L = [[sx, 0], [r sy,
-    sy sqrt(1 - r^2)]], so two standard normals suffice; each draw is mu
-    + L eps, elementwise, so a window's draws do not depend on its group.
-    Draw s of a window equals the s-th of k successive single draws from
-    its generator.
+    or a group's ([B, T_pred, N, 2]) with B generators, one per window:
+    window b's normals are filled by ``rng[b]`` alone, so they equal
+    ``rng[b].standard_normal((k, T_pred, N, 2))`` whatever the group.
+    The covariance [[sx^2, r sx sy], [r sx sy, sy^2]] factors as L =
+    [[sx, 0], [r sy, sy sqrt(1 - r^2)]], so two standard normals suffice;
+    each draw is mu + L eps, elementwise.  Draw s of a window equals the
+    s-th of k successive single draws from its generator.
     """
-    eps = draw_normals(rng, k, params.mu.shape[-3:])
+    shape = (k,) + params.mu.shape[-3:]
+    if isinstance(rng, np.random.Generator):
+        eps = rng.standard_normal(shape)
+    else:
+        eps = np.empty((len(rng),) + shape)
+        for generator, out in zip(rng, eps):
+            generator.standard_normal(out=out)
     if eps.shape[:-4] != params.mu.shape[:-3]:
         raise ShapeError(f"normals {eps.shape} do not match the windows of means {params.mu.shape}")
     mu = params.mu[..., None, :, :, :]  # a draw axis before [T_pred, N, 2]
@@ -324,7 +315,7 @@ def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
     """Write header + row-major little-endian float64 payloads atomically."""
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
     for key, value in asdict(cfg).items():
-        lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
+        lines.append(f"{key}={value!r}")  # repr and str agree on an int, and repr keeps every bit of a float
     names = sorted(weights)
     for name in names:
         dims = " ".join(str(d) for d in weights[name].shape)
@@ -384,17 +375,14 @@ def load_checkpoint(path) -> tuple:
     except ConfigError as err:
         raise CheckpointError(f"{path}: bad config header: {err}") from None
 
-    expected_shapes = sorted((name, shape) for name, shape, _ in _layout(cfg))
-    if sorted(shapes.items()) != expected_shapes:
-        for name, shape in expected_shapes:
+    expected = {name: shape for name, shape, _ in _layout(cfg)}
+    if shapes != expected:
+        for name, shape in sorted(expected.items()):
             if name not in shapes:
                 raise CheckpointError(f"{path}: parameter {name} missing from shape table")
             if shapes[name] != shape:
-                raise CheckpointError(
-                    f"{path}: parameter {name} has shape {shapes[name]}, config implies {shape}"
-                )
-        extra = set(shapes) - {n for n, _ in expected_shapes}
-        raise CheckpointError(f"{path}: unexpected parameters {sorted(extra)}")
+                raise CheckpointError(f"{path}: parameter {name} has shape {shapes[name]}, config implies {shape}")
+        raise CheckpointError(f"{path}: unexpected parameters {sorted(set(shapes) - set(expected))}")
 
     payload = memoryview(blob)[len(head) + len(b"\nEND\n"):]
     sizes = [math.prod(shape) for shape in shapes.values()]

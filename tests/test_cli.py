@@ -404,6 +404,19 @@ class TestEvalCommand:
         assert "the holdout 'TINY' has no complete window to evaluate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_comma_in_scene_name_exits_2(self, overfit_run, tmp_path, capsys):
+        # the name would split its metrics.csv row into one field too many
+        root = tmp_path / "data"
+        root.mkdir()
+        write_trajectory_file(root / "za,ra.txt", fixture_positions([[0.3, 0.0]], [[0.0, 0.0]], 1, steps=25))
+        out = tmp_path / "o"
+        code = run_cli([
+            "eval", "--checkpoint", overfit_run.checkpoint, "--data-root", root, "--holdout", "ZA,RA", "--out", out,
+        ])
+        assert code == 2
+        assert f"{root / 'za,ra.txt'}: scene name 'ZA,RA' holds a ','" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_holdout_lists_scenes(self, overfit_run, tmp_path, capsys):
         code = run_cli([
             "eval", "--checkpoint", overfit_run.checkpoint,

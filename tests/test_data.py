@@ -34,7 +34,7 @@ class TestLoadSceneFile:
     def test_two_valid_lines(self, tmp_path):
         p = write_lines(tmp_path / "a.txt", ["10 1 2.5 3.5", "20 1 2.6 3.6"])
         table = dd.load_scene_file(p)
-        assert len(table) == 2
+        assert len(table.frames) == len(table.ped_ids) == len(table.xy) == 2
         assert table.name == "A"
         assert_allclose(table.xy[0], [2.5, 3.5])
 

@@ -42,8 +42,9 @@ class TestPositionEncoding:
         assert_allclose(table[2, 2], np.sin(2.0 / 100.0))
 
     def test_odd_dim_rejected(self):
-        with pytest.raises(ConfigError):
-            gg.position_encoding_table(4, 5)
+        # the one parity rule, which every position table's dim passes through
+        with pytest.raises(ConfigError, match="embed_dim must be even for the sin/cos position table, got 5"):
+            small_cfg(embed_dim=5)
 
 
 class TestEmbedNodes:
@@ -422,18 +423,21 @@ class TestBuildSpatialGraph:
         assert np.all(np.abs(adj.normalized.data[:, np.eye(4, dtype=bool)]) >= 0.0)
 
     def test_wrong_window_length_rejected(self):
+        # model.forward, the one caller of both builders, checks the window length once: a single window
         cfg = small_cfg()
         w = mm.init_weights(cfg, seed=0)
-        with pytest.raises(ConfigError):
-            gg.build_spatial_graph(scene(np.random.default_rng(17), 6, 3), w, cfg)
+        with pytest.raises(ConfigError, match="window has 6 observed steps, config expects 4"):
+            mm.forward(scene(np.random.default_rng(17), 6, 3), w, cfg)
 
 
 class TestBuildTemporalGraph:
     def test_wrong_window_length_rejected(self):
+        # the same check in model.forward, for a group of 3 windows
         cfg = small_cfg()
         w = mm.init_weights(cfg, seed=0)
+        group = np.random.default_rng(17).normal(scale=0.4, size=(3, 6, 3, 2))
         with pytest.raises(ConfigError, match="window has 6 observed steps, config expects 4"):
-            gg.build_temporal_graph(scene(np.random.default_rng(17), 6, 3), w, cfg)
+            mm.forward(group, w, cfg)
 
     def test_shapes(self):
         cfg = small_cfg()

@@ -56,6 +56,7 @@ def gcn_operands(seed):
 @pytest.mark.parametrize("field, value, match", [
     ("conv_kernel", 4, "conv_kernel must be odd and >= 1, got 4"),
     ("tcn_layers", 1, r"tcn_layers must be >= 2 \(head needs an entry layer\), got 1"),
+    ("tcn_layers", 0, r"tcn_layers must be >= 2 \(head needs an entry layer\), got 0"),
     ("embed_dim", 15, "embed_dim must be even for the sin/cos position table, got 15"),
 ])
 def test_model_config_rejects_out_of_range_fields(field, value, match):
@@ -282,7 +283,7 @@ class TestTcnHead:
         w = mm.init_weights(cfg, seed=2)
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            raw = rng.normal(scale=3.0, size=(3, 2, 5))
+            raw = Tensor(rng.normal(scale=3.0, size=(3, 2, 5)))
             params = mm.to_gaussian(raw)
             assert np.all(params.sigma > 0.0)
             assert np.all(np.abs(params.rho) < 1.0)
@@ -462,10 +463,12 @@ class TestSampling:
             assert got[b].tobytes() == mm.sample_trajectory(window, last[b], np.random.default_rng(s), 20).tobytes()
 
     def test_draw_normals_fills_each_window_from_its_own_generator(self):
-        eps = mm.draw_normals([np.random.default_rng(s) for s in (3, 4)], 5, (2, 1, 2))
+        # mu 0, sigma 1 and rho 0 map each normal to itself, bit for bit
+        p = mm.BiGaussianParams(mu=np.zeros((2, 2, 1, 2)), sigma=np.ones((2, 2, 1, 2)), rho=np.zeros((2, 2, 1)))
+        eps = mm.sample_displacements(p, [np.random.default_rng(s) for s in (3, 4)], 5)
         assert eps.shape == (2, 5, 2, 1, 2)
         for b, s in enumerate((3, 4)):
-            assert np.array_equal(eps[b], np.random.default_rng(s).standard_normal((5, 2, 1, 2)))
+            assert eps[b].tobytes() == np.random.default_rng(s).standard_normal((5, 2, 1, 2)).tobytes()
 
     def test_one_generator_for_a_group_is_refused(self):
         p = self.params()
