@@ -3,8 +3,9 @@
 
 Runs a shortened leave-one-out protocol sized for a laptop CPU: a
 subsampled training set, a few epochs, then best-of-20 evaluation on a
-subsample of the holdout windows.  Finishes in about half a minute with
-the defaults and prints ADE/FDE against the untrained baseline.
+subsample of the holdout windows.  Finishes in a few seconds with the
+defaults (4 s on a 2-core Xeon VM) and prints ADE/FDE against the
+untrained baseline.
 """
 
 import argparse

@@ -626,9 +626,12 @@ def backward(loss: Tensor) -> None:
 
     Repeated calls without zero_grad accumulate, in place once a leaf has
     a grad, which is what gradient accumulation over a batch relies on.
+    The loss is an exit of its pass: a non-finite one raises before any
+    vjp runs, so no leaf's grad changes.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    _check_finite(loss.data, "loss")
     order = _toposort(loss)
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):

@@ -2,7 +2,7 @@
 
 Configuration precedence, lowest to highest: built-in defaults, the
 ``SGCN_DATA_ROOT`` environment variable (data root only), values from a
-``--config`` key=value file, explicit command-line flags.  Every run
+``--config`` key=value file, then the command-line flags.  Every run
 loads and checks its inputs, then echoes its fully resolved configuration
 (with the xi it used) into the output directory so a later ``--config
 resolved.cfg`` reproduces it.
@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .training import train
 
 logger = logging.getLogger(__name__)
 
-_KEY_TYPES = get_type_hints(RunConfig)
+# RunConfig key -> value type; an optional key (xi) parses as its non-None type
+_KEY_TYPES = {key: (get_args(kind) or (kind,))[0] for key, kind in get_type_hints(RunConfig).items()}
 # RunConfig keys settable by flag -> help text; each flag's type is its key's.
 _FLAGS = {
     "data_root": "directory of *.txt scene files",
@@ -65,15 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
-    """Merge defaults, environment, config file, and flags.
-
-    Returns the resolved run plus the set of keys the operator set
-    explicitly (file or flag); commands use it to tell a deliberate
-    value from a default.
-    """
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Merge defaults, environment, config file, and flags."""
     values = RunConfig(command=args.command).as_dict()
-    explicit: set = set()
     env_root = os.environ.get("SGCN_DATA_ROOT")
     if env_root:
         values["data_root"] = env_root
@@ -87,13 +82,11 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
                 values[key] = _KEY_TYPES[key](text)
             except ValueError as err:
                 raise ConfigError(f"config key {key}: {err}") from err
-            explicit.add(key)
     for key in _FLAGS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-            explicit.add(key)
-    return RunConfig(**values), explicit
+    return RunConfig(**values)
 
 
 def _prepare_out(run: RunConfig, cfg: ModelConfig) -> Path:
@@ -124,15 +117,15 @@ def _load_scene_input(run: RunConfig, t_obs: int):
     return scene
 
 
-def _load_weights(run: RunConfig, explicit: set) -> tuple:
+def _load_weights(run: RunConfig) -> tuple:
     weights, cfg = load_checkpoint(_require(run.checkpoint, "checkpoint"))
-    if "xi" in explicit and run.xi != cfg.xi:
+    if run.xi is not None:
         cfg = replace(cfg, xi=run.xi)
     return weights, cfg
 
 
-def cmd_train(run: RunConfig, explicit: set) -> int:
-    model_cfg = ModelConfig(xi=run.xi)
+def cmd_train(run: RunConfig) -> int:
+    model_cfg = ModelConfig() if run.xi is None else ModelConfig(xi=run.xi)
     train_cfg = TrainConfig(epochs=run.epochs, batch_size=run.batch_size, lr=run.lr, seed=run.seed)
     scenes = training_windows(_load_tables(run), run.holdout, model_cfg.t_obs, model_cfg.t_pred)
     if not scenes:
@@ -150,8 +143,10 @@ def cmd_train(run: RunConfig, explicit: set) -> int:
     return 0
 
 
-def cmd_eval(run: RunConfig, explicit: set) -> int:
-    weights, cfg = _load_weights(run, explicit)
+def cmd_eval(run: RunConfig) -> int:
+    if run.num_samples < 1:
+        raise ConfigError(f"num_samples must be >= 1, got {run.num_samples}")
+    weights, cfg = _load_weights(run)
     scenes = window_scenes(holdout_table(_load_tables(run), run.holdout), cfg.t_obs, cfg.t_pred)
     if not scenes:
         raise ConfigError(f"the holdout {run.holdout!r} has no complete window to evaluate")
@@ -164,10 +159,10 @@ def cmd_eval(run: RunConfig, explicit: set) -> int:
     return 0
 
 
-def cmd_predict(run: RunConfig, explicit: set) -> int:
+def cmd_predict(run: RunConfig) -> int:
     if run.num_samples < 0:
         raise ConfigError(f"num_samples must be >= 0, got {run.num_samples}")
-    weights, cfg = _load_weights(run, explicit)
+    weights, cfg = _load_weights(run)
     scene = _load_scene_input(run, cfg.t_obs)
     [params] = map_groups(lambda _: [predict(scene.displacements_obs, weights, cfg)], [scene])
     out = _prepare_out(run, cfg)
@@ -203,8 +198,8 @@ def predictions_text(ids, obs, mu_path, params, samples) -> str:
     return "".join(chunks)
 
 
-def cmd_dump_graphs(run: RunConfig, explicit: set) -> int:
-    weights, cfg = _load_weights(run, explicit)
+def cmd_dump_graphs(run: RunConfig) -> int:
+    weights, cfg = _load_weights(run)
     scene = _load_scene_input(run, cfg.t_obs)
     [(_, spatial, temporal)] = map_groups(lambda _: [forward(scene.displacements_obs, weights, cfg)], [scene])
     out = _prepare_out(run, cfg)
@@ -238,8 +233,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        run, explicit = resolve_config(args)
-        return _COMMANDS[args.command](run, explicit)
+        return _COMMANDS[args.command](resolve_config(args))
     except (SgcnError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

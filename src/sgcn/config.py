@@ -98,7 +98,7 @@ def write_config_file(path, values: dict) -> None:
 
 @dataclass
 class RunConfig:
-    """Fully resolved CLI run: every field explicit, echoed next to outputs."""
+    """Resolved CLI run, echoed next to outputs; ``xi=None`` is unset: train's default, else the checkpoint's."""
 
     command: str = ""
     data_root: str = ""
@@ -106,7 +106,7 @@ class RunConfig:
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
     lr: float = TrainConfig.lr
-    xi: float = ModelConfig.xi
+    xi: float | None = None
     seed: int = TrainConfig.seed
     num_samples: int = 20
     out: str = "runs/default"

@@ -235,24 +235,25 @@ def forward(displacements, weights: dict, cfg: ModelConfig):
     return raw, spa, tmp
 
 
-def gaussian_scales(raw: Tensor) -> tuple:
-    """(sigma_x, sigma_y, rho) of head output [..., 5]: the one map that both the loss and predictions use.
+def gaussian_terms(raw: Tensor) -> tuple:
+    """(mu_x, mu_y, sigma_x, sigma_y, rho) of head output [..., 5]: the one map that both the loss and predictions use.
 
-    Sigma is the exp of the raw log-sigma clamped to [log 1e-8, 30] and rho
-    the tanh clamped to |rho| <= 1 - 1e-6, so the density stays finite and
-    nonsingular; gradients are exact away from the clamps.
+    Mu is the raw mean, sigma the exp of the raw log-sigma clamped to
+    [log 1e-8, 30] and rho the tanh clamped to |rho| <= 1 - 1e-6, so the
+    density stays finite and nonsingular; gradients are exact away from
+    the clamps.
     """
     log_floor = float(np.log(SIGMA_FLOOR))
     sigma_x = ad.exp(ad.clamp(raw[..., 2], lo=log_floor, hi=LOG_SIGMA_MAX))
     sigma_y = ad.exp(ad.clamp(raw[..., 3], lo=log_floor, hi=LOG_SIGMA_MAX))
-    return sigma_x, sigma_y, ad.clamp(ad.tanh(raw[..., 4]), lo=-RHO_LIMIT, hi=RHO_LIMIT)
+    return raw[..., 0], raw[..., 1], sigma_x, sigma_y, ad.clamp(ad.tanh(raw[..., 4]), lo=-RHO_LIMIT, hi=RHO_LIMIT)
 
 
 def to_gaussian(raw: Tensor) -> BiGaussianParams:
-    """Split the head output's raw 5-vectors into plain-array (mu, sigma, rho) through :func:`gaussian_scales`."""
-    sigma_x, sigma_y, rho = gaussian_scales(raw)
+    """Split the head output's raw 5-vectors into plain-array (mu, sigma, rho) through :func:`gaussian_terms`."""
+    mu_x, mu_y, sigma_x, sigma_y, rho = gaussian_terms(raw)
     return BiGaussianParams(
-        mu=raw.data[..., 0:2].copy(),
+        mu=np.stack([mu_x.data, mu_y.data], axis=-1),
         sigma=np.stack([sigma_x.data, sigma_y.data], axis=-1),
         rho=rho.data,
     )

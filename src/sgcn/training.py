@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
 from .errors import ConfigError
-from .model import forward, gaussian_scales, init_weights, map_groups, save_checkpoint
+from .model import forward, gaussian_terms, init_weights, map_groups, save_checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -37,12 +37,11 @@ def nll_loss(raw: Tensor, gt_displacements: np.ndarray) -> Tensor:
 
     ``raw`` is the head output [T_pred, N, 5] (a scalar loss) or a group's
     [B, T_pred, N, 5] (losses [B]), mapped to a density by
-    ``model.gaussian_scales``, as predictions are.
+    ``model.gaussian_terms``, as predictions are.
     """
     gt = np.asarray(gt_displacements, dtype=np.float64)
     n = raw.shape[-2]
-    mu_x, mu_y = raw[..., 0], raw[..., 1]
-    sigma_x, sigma_y, rho = gaussian_scales(raw)
+    mu_x, mu_y, sigma_x, sigma_y, rho = gaussian_terms(raw)
 
     dx = (gt[..., 0] - mu_x) / sigma_x
     dy = (gt[..., 1] - mu_y) / sigma_y
@@ -114,12 +113,9 @@ def write_loss_log(rows, path) -> None:
 
 
 def group_loss(scenes, weights: dict, model_cfg: ModelConfig) -> Tensor:
-    """Losses [B] of equal-N scenes from one forward pass; each equals its group-of-one loss bit for bit.
-
-    The loss checks every primitive, so a non-finite loss never reaches ``backward`` or Adam.
-    """
+    """Losses [B] of equal-N scenes from one forward pass; each equals its group-of-one loss bit for bit."""
     raw, _, _ = forward(np.stack([s.displacements_obs for s in scenes]), weights, model_cfg)
-    with ad.scope(deferred=False, stage="loss"):
+    with ad.scope(stage="loss"):
         return nll_loss(raw, np.stack([future_displacements(s) for s in scenes]))
 
 

@@ -80,26 +80,25 @@ REPR_EDGES = [-0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, -1.7976931348623
 class TestConfigResolution:
     def test_defaults_materialized(self):
         args = cli.build_parser().parse_args(["train"])
-        run, explicit = cli.resolve_config(args)
+        run = cli.resolve_config(args)
         assert run.command == "train"
         assert run.holdout == "ZARA2"
         assert run.batch_size == 128
         assert run.num_samples == 20
-        assert explicit == set()
+        assert run.xi is None  # unset: train's default, else the checkpoint's
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs=5\nlr=0.01\n")
         args = cli.build_parser().parse_args(["train", "--config", str(cfg), "--epochs", "9"])
-        run, explicit = cli.resolve_config(args)
+        run = cli.resolve_config(args)
         assert run.epochs == 9
         assert run.lr == 0.01
-        assert {"epochs", "lr"} <= explicit
 
     def test_env_fills_data_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SGCN_DATA_ROOT", str(tmp_path))
         args = cli.build_parser().parse_args(["train"])
-        run, _ = cli.resolve_config(args)
+        run = cli.resolve_config(args)
         assert run.data_root == str(tmp_path)
 
     def test_file_overrides_env(self, monkeypatch, tmp_path):
@@ -107,7 +106,7 @@ class TestConfigResolution:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("data_root=/file/root\n")
         args = cli.build_parser().parse_args(["train", "--config", str(cfg)])
-        run, _ = cli.resolve_config(args)
+        run = cli.resolve_config(args)
         assert run.data_root == "/file/root"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -327,11 +326,12 @@ class TestTrainCommand:
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"data_root={fixture_root}\nholdout=DUMMY\nepochs=1\nbatch_size=2\nout=runs/a=b\n")
-        run, _ = cli.resolve_config(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
+        run = cli.resolve_config(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
         assert run.out == "runs/a=b"
         assert run_cli(["train", "--config", cfg]) == 0
         echoed = tmp_path / "runs" / "a=b" / "resolved.cfg"
-        assert cli.resolve_config(cli.build_parser().parse_args(["train", "--config", str(echoed)]))[0] == run
+        # the echo records the xi the run used: train's default
+        assert cli.resolve_config(cli.build_parser().parse_args(["train", "--config", str(echoed)])) == replace(run, xi=0.5)
 
     def test_resolved_config_reproduces_run(self, fixture_root, tmp_path):
         first = tmp_path / "first"
@@ -402,6 +402,17 @@ class TestEvalCommand:
         ])
         assert code == 2
         assert "the holdout 'TINY' has no complete window to evaluate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_samples_exits_2_before_loading(self, tmp_path, capsys):
+        # checked first: the missing checkpoint is never opened
+        out = tmp_path / "o"
+        code = run_cli([
+            "eval", "--checkpoint", tmp_path / "missing.ckpt", "--data-root", tmp_path,
+            "--num-samples", "0", "--out", out,
+        ])
+        assert code == 2
+        assert "error: num_samples must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_comma_in_scene_name_exits_2(self, overfit_run, tmp_path, capsys):

@@ -349,6 +349,39 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match=r"^scene BADSCENE@frame40 \(N=3\): .* in stage 'loss'$"):
             tr.train(good + [bad], SMALL_CFG, TrainConfig(epochs=1, batch_size=8))
 
+    def test_group_checks_only_its_exits(self, monkeypatch):
+        # the loss runs deferred like the rest of the pass: no per-op check,
+        # only the head output, both gate features and the loss in backward
+        scenes = small_scenes()
+        weights = init_weights(SMALL_CFG, seed=2)
+        checked = []
+        check = ad._check_finite
+
+        def spy(data, op):
+            checked.append(op)
+            check(data, op)
+
+        def backward_group(group):
+            losses = tr.group_loss([scenes[i] for i in group], weights, SMALL_CFG)
+            ad.backward(ad.tsum(losses))
+            return losses.data
+
+        monkeypatch.setattr(ad, "_check_finite", spy)
+        mm.map_groups(backward_group, scenes)
+        assert sorted(checked) == ["gate features", "gate features", "loss", "tcn_head"]
+
+    def test_nan_loss_stops_backward_before_any_vjp(self):
+        scene = small_scenes()[0]
+        bad = sgcn_data.TrajectoryScene(scene.pedestrian_ids, scene.positions_obs,
+                                        np.full_like(scene.positions_fut, np.nan))
+        weights = init_weights(SMALL_CFG, seed=2)
+        optimizer = tr.Adam(weights)
+        with ad.scope(deferred=True):
+            loss = ad.tsum(tr.group_loss([bad], weights, SMALL_CFG))
+        with pytest.raises(NumericsError, match=r"^non-finite values produced by 'loss'$"):
+            ad.backward(loss)
+        assert not optimizer.grad.any()
+
     def test_remainder_window_still_steps(self):
         # 2 scenes with batch_size 8: the undersized epoch-end window must
         # produce an optimizer step rather than dropping its gradients
