@@ -24,12 +24,12 @@ two-entry table by the mask's bytes and multiply.  The product keeps
 every bit: ``x * 1.0`` is x and ``x * slope`` is ``slope * x``.  The
 slope is a scalar, as every model slope is.
 
-By default every primitive checks its output for NaN/Inf, so a numerical
-failure surfaces at its source.  That check took about a tenth of
-evaluation time, so ``model.map_groups`` runs every model pass inside
-``scope(deferred=True)``, where only the arrays that leave the tape are
-checked; if one fails, it reruns the windows one at a time with per-op
-checks on to name the first non-finite op and the scene.
+Every tape node checks its output for NaN/Inf, so a failure surfaces at
+its source, and each array that leaves the tape (the gate features, the
+head output, the loss) is checked once, where it leaves.  The node checks
+took about a tenth of evaluation time, so ``model.map_groups`` runs every
+model pass inside ``scope(deferred=True)``, which skips them; if an exit
+fails, it reruns the windows one at a time to name the op and the scene.
 ``scope(stage=...)`` names the model stage that a NumericsError reports.
 Both settings are per thread, so concurrent passes do not see each other's.
 """
@@ -78,12 +78,6 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NumericsError(f"non-finite values produced by '{op}'{where}")
 
 
-def _check_op(data: np.ndarray, op: str) -> None:
-    """The per-primitive check of ``op``'s output, skipped while this thread defers checks."""
-    if not _state.deferred:
-        _check_finite(data, op)
-
-
 class Tensor:
     """Dense n-d float64 array participating in reverse-mode differentiation.
 
@@ -102,7 +96,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None, _op="tensor"):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_op(self.data, _op)
+        if not _state.deferred:
+            _check_finite(self.data, _op)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents if self.requires_grad else ()
@@ -230,8 +225,6 @@ def exp(x) -> Tensor:
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    if (x.data <= 0.0).any():
-        raise NumericsError("log of non-positive value")
     out = np.log(x.data)
 
     def vjp(g):
@@ -553,8 +546,8 @@ def conv_cascade(x: np.ndarray, layers) -> np.ndarray:
     the output is the same to the bit; the padding matters too, as the
     columns' strides pick numpy's matmul path: one channel's (Sx1)
     columns are an overlapping view that numpy multiplies without BLAS.
-    Unless checks are deferred, each conv, sum and PReLU output is
-    checked under that primitive's name.
+    Like every array that leaves the tape, its output is checked once,
+    where it leaves: ``graphs.sparsify`` checks it as ``'gate features'``.
     """
     c, height, width = x.shape[-3:]
     out = x.reshape(-1, c, height, width)
@@ -565,16 +558,12 @@ def conv_cascade(x: np.ndarray, layers) -> np.ndarray:
         extent = kernels.shape[2:]
         if extent not in padders:
             padders[extent] = _padder(layer_in.shape, *extent)
-        f = _conv(layer_in, kernels, bias, padders[extent](layer_in))
-        _check_op(f, "conv2d")
-        return f
+        return _conv(layer_in, kernels, bias, padders[extent](layer_in))
 
     for row_k, row_b, col_k, col_b, slope in layers:
         out, f_col = conv(out, row_k, row_b), conv(out, col_k, col_b)
         out += f_col
-        _check_op(out, "add")
         out *= _prelu_factor(out < 0, slope)
-        _check_op(out, "prelu")
     return out.reshape(x.shape)
 
 

@@ -116,6 +116,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take only non-negative seeds
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.xi is not None:  # ModelConfig states xi's range; check it before any command reads a file
+            ModelConfig(xi=self.xi)
         for key, value in self.as_dict().items():  # refuse what resolved.cfg could not carry back unchanged
             if not isinstance(value, str):
                 continue

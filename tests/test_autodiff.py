@@ -315,8 +315,13 @@ class TestPointwise:
         assert_allclose(slope.grad, -2.0)
 
     def test_log_rejects_nonpositive(self):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match=r"^non-finite values produced by 'log'$"), np.errstate(divide="ignore"):
             ad.log(ad.Tensor([1.0, 0.0]))
+
+    def test_repr_names_shape_op_and_grad(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        assert repr(ad.exp(x)) == "Tensor(shape=(2,), op='exp', requires_grad=True)"
+        assert repr(ad.Tensor(0.0)) == "Tensor(shape=(), op='tensor', requires_grad=False)"
 
     def test_clamp_values_and_grad(self):
         x = ad.Tensor([-2.0, 0.5, 2.0], requires_grad=True)

@@ -128,6 +128,20 @@ class TestConfigResolution:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "dump-graphs"])
+    def test_xi_out_of_range_exits_2_before_loading(self, command, tmp_path, capsys):
+        # checked as the run resolves: the missing checkpoint is never opened
+        out = tmp_path / "o"
+        assert run_cli([command, "--xi", "2", "--checkpoint", tmp_path / "missing.ckpt", "--out", out]) == 2
+        assert "error: xi must lie in [0, 1], got 2.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_xi_from_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi=nan\n")
+        assert run_cli(["eval", "--config", cfg, "--checkpoint", tmp_path / "missing.ckpt"]) == 2
+        assert "error: xi must lie in [0, 1], got nan" in capsys.readouterr().err
+
     def test_repeated_key_exits_2(self, fixture_root, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"data_root={fixture_root}\nepochs=5\n# a form\x0cfeed ends no line\nepochs=9\n")

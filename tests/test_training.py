@@ -517,3 +517,14 @@ def test_repeated_training_reuses_freed_tape_memory():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tr.train(scenes, *cfgs)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 400
+
+
+def _no_c_library(name):
+    raise OSError("cannot open the C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()], ids=["no-c-library", "no-mallopt"])
+def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch, cdll):
+    # where the C library cannot be opened or has no mallopt, training runs without the setting
+    monkeypatch.setattr(tr.ctypes, "CDLL", cdll)
+    assert tr._keep_freed_memory.__wrapped__() is None
