@@ -4,17 +4,19 @@ Every operation records its inputs and a vector-Jacobian product (vjp)
 closure on the output tensor; ``backward`` replays those records in
 reverse execution order and accumulates gradients into the leaves.
 The primitive set is exactly what the trajectory model needs: batched
-matmul, zero-padded 2-d convolution, masked softmax, a handful of
-pointwise functions, ``take``, ``reshape``, ``tsum``, one transpose
+matmul, zero-padded 2-d convolution, masked softmax, the pointwise
+``add``, ``sub``, ``mul``, ``div``, ``exp``, ``log``, ``tanh`` and
+``clamp``, ``take``, ``reshape``, ``tsum``, one transpose
 (``swapaxes``, which swaps two axes) and three fused layers, each one
 tape node with a hand-written vjp: ``linear`` (``x @ w + b``),
 ``gcn_layer`` (a graph convolution: ``(A^T H) W`` then PReLU) and
 ``conv2d_prelu`` (a temporal-conv block: conv, PReLU and an optional
 residual).  A fused layer keeps only what its vjp reads and recomputes
 the rest, so a training tape stays small; its outputs and gradients
-equal those of the composed primitives bit for bit.  ``conv_cascade``
-(the gate's features) maps plain arrays to plain arrays and records no
-node.  No other module builds tape nodes or im2col buffers.
+equal bit for bit those of the primitives composed with a one-node
+PReLU built from ``_prelu_factor`` and ``_prelu_vjp`` (the tests'
+oracle).  ``conv_cascade`` (the gate's features) maps plain arrays to
+plain arrays and records no node.  No other module builds tape nodes or im2col buffers.
 
 PReLU's select is a gather, not ``np.where``.  The sign of a
 pre-activation is data-dependent, and a select on a random mask cost
@@ -84,8 +86,8 @@ class Tensor:
     Leaves are created directly from data; every primitive returns a new
     Tensor that remembers its parent tensors and the vjp closure needed to
     push gradients back to them.  ``grad`` is populated on requires_grad
-    leaves by :func:`backward` and accumulates across calls until
-    :meth:`zero_grad`.
+    leaves by :func:`backward` and accumulates across calls until it is
+    set back to None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
@@ -111,14 +113,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -255,18 +249,6 @@ def _prelu_vjp(g: np.ndarray, pre: np.ndarray, neg: np.ndarray, slope: Tensor) -
     gx = _prelu_factor(neg, slope) * g
     gs = ((pre * neg + 0.0) * g).sum()  # + 0.0: a pre of -0.0 gives np.where's +0.0 term, whatever zero the sum starts from
     return gx, gs
-
-
-def prelu(x, slope) -> Tensor:
-    """Parametric ReLU with a scalar slope: identity for x >= 0, slope * x otherwise."""
-    x, slope = as_tensor(x), as_tensor(slope)
-    neg = x.data < 0
-    out = x.data * _prelu_factor(neg, slope)
-
-    def vjp(g):
-        return _prelu_vjp(g, x.data, neg, slope)
-
-    return Tensor(out, _parents=(x, slope), _vjp=vjp, _op="prelu")
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
@@ -542,10 +524,11 @@ def conv_cascade(x: np.ndarray, layers) -> np.ndarray:
     keep the C channels.  The gate features it computes only feed a hard
     threshold that backward never crosses, so it records no node.  Each
     kernel extent gets one padder per call.  The gemms, bias adds, sum
-    and PReLU are those of ``conv2d_zero_pad``, ``add`` and ``prelu``, so
-    the output is the same to the bit; the padding matters too, as the
-    columns' strides pick numpy's matmul path: one channel's (Sx1)
-    columns are an overlapping view that numpy multiplies without BLAS.
+    and PReLU are those of ``conv2d_zero_pad``, ``add`` and the fused
+    layers, so the output is the same to the bit; the padding matters
+    too, as the columns' strides pick numpy's matmul path: one channel's
+    (Sx1) columns are an overlapping view that numpy multiplies without
+    BLAS.
     Like every array that leaves the tape, its output is checked once,
     where it leaves: ``graphs.sparsify`` checks it as ``'gate features'``.
     """
@@ -613,8 +596,8 @@ def _toposort(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf.
 
-    Repeated calls without zero_grad accumulate, in place once a leaf has
-    a grad, which is what gradient accumulation over a batch relies on.
+    Repeated calls accumulate, in place once a leaf has a grad, which is
+    what gradient accumulation over a batch relies on.
     The loss is an exit of its pass: a non-finite one raises before any
     vjp runs, so no leaf's grad changes.
     """
@@ -638,37 +621,3 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-
-
-# ---------------------------------------------------------------------------
-# finite-difference self-check
-
-
-def finite_diff_check_params(loss_fn, params) -> dict:
-    """Compare analytic gradients of scalar ``loss_fn()`` against central differences.
-
-    ``params`` maps name -> leaf Tensor; each is marked requires_grad and
-    every element is perturbed in place by +-1e-4 and restored.  Returns
-    name -> max over elements of |analytic - central| / (|central| + 1e-8).
-    """
-    h = 1e-4
-    for p in params.values():
-        p.requires_grad = True
-        p.zero_grad()
-    backward(loss_fn())
-    errors = {}
-    for name, p in params.items():
-        analytic = np.zeros(p.shape) if p.grad is None else p.grad
-        central = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_fn().item()
-            flat[i] = orig - h
-            lo = loss_fn().item()
-            flat[i] = orig
-            central.reshape(-1)[i] = (hi - lo) / (2.0 * h)
-        rel = np.abs(analytic - central) / (np.abs(central) + 1e-8)
-        errors[name] = float(rel.max()) if rel.size else 0.0
-    return errors

@@ -30,20 +30,6 @@ from .errors import ConfigError
 from .model import map_groups, mu_trajectory, predict, sample_trajectory
 
 
-def ade(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean L2 distance over steps and pedestrians, in meters."""
-    if pred.shape != gt.shape:
-        raise ConfigError(f"prediction shape {pred.shape} != ground truth {gt.shape}")
-    return float(_path_errors(pred, gt)[0].mean())
-
-
-def fde(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean L2 distance at the final step only."""
-    if pred.shape != gt.shape:
-        raise ConfigError(f"prediction shape {pred.shape} != ground truth {gt.shape}")
-    return float(_path_errors(pred, gt)[1].mean())
-
-
 @dataclass
 class MetricsReport:
     ade: float

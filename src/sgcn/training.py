@@ -64,7 +64,7 @@ class Adam:
     parameter is marked trainable, and its ``data`` and ``grad`` become views
     into them, which ``backward`` adds into in place.  A parameter backward
     never reaches keeps a zero gradient and moments, so it moves by exactly 0.
-    ``Tensor.zero_grad()`` detaches a parameter from ``grad``.
+    Setting a parameter's ``grad`` to None detaches it from ``grad``.
     """
 
     def __init__(self, weights: dict):

@@ -22,8 +22,9 @@ from sgcn import training as tr
 from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig, TrainConfig
 
-from conftest import fixture_positions
+from conftest import finite_diff_check_params, fixture_positions
 from test_autodiff import PRIMITIVE_CASES, check_primitive_gradient
+from test_evaluation import mean_errors
 from test_model import branch_fixture, naive_branches, prelu_np
 
 # Full-model gradient check point, frozen after a margin scan.  Biases
@@ -58,7 +59,7 @@ def test_c1_gradient_correctness_primitives_and_full_model():
     rng = np.random.default_rng(GRAD_JITTER_SEED)
     for p in weights.values():
         p.data += rng.uniform(-0.2, 0.2, size=p.shape)
-    errors = ad.finite_diff_check_params(lambda: tr.group_loss([scene], weights, GRAD_CFG), weights)
+    errors = finite_diff_check_params(lambda: tr.group_loss([scene], weights, GRAD_CFG), weights)
     worst = max(errors, key=errors.get)
     assert errors[worst] < 1e-4, f"{worst}: {errors[worst]:.3e}"
     assert time.monotonic() - start < 60.0
@@ -168,18 +169,16 @@ def test_c4_oracle_equivalence():
 
 def test_c5_metric_oracles_and_best_of_k_monotonicity():
     gt = np.arange(24, dtype=float).reshape(4, 3, 2)
-    assert ev.ade(gt.copy(), gt) == 0.0
-    assert ev.fde(gt.copy(), gt) == 0.0
+    assert mean_errors(gt.copy(), gt) == (0.0, 0.0)
 
     offset = gt.copy()
     offset[..., 1] += 1.0
-    assert ev.ade(offset, gt) == pytest.approx(1.0, abs=1e-12)
-    assert ev.fde(offset, gt) == pytest.approx(1.0, abs=1e-12)
+    assert mean_errors(offset, gt) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     mixed = np.zeros((6, 2, 2))
     mixed[:, 0, 0] = 3.0
     mixed[:, 1, 1] = 4.0
-    assert ev.ade(mixed, np.zeros((6, 2, 2))) == pytest.approx(3.5, abs=1e-12)
+    assert mean_errors(mixed, np.zeros((6, 2, 2)))[0] == pytest.approx(3.5, abs=1e-12)
 
     cfg = ModelConfig(t_obs=4, t_pred=3, embed_dim=16, conv_layers=2)
     weights = mm.init_weights(cfg, seed=1)

@@ -16,6 +16,8 @@ from sgcn import autodiff as ad
 from sgcn import graphs as gg
 from sgcn.errors import ConfigError, NumericsError, ShapeError
 
+from conftest import finite_diff_check_params, prelu
+
 
 def rand(rng, *shape):
     return ad.Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
@@ -178,7 +180,7 @@ class TestConv2d:
         k = rand(rng, 3, 2, 3, 3)
         weights = rng.normal(size=(2, 3, 4, 5))
         param = x if wrt == "input" else k
-        errors = ad.finite_diff_check_params(
+        errors = finite_diff_check_params(
             lambda: ad.tsum(ad.conv2d_zero_pad(x, k, np.zeros(3)) * weights), {wrt: param}
         )
         assert errors[wrt] < 1e-4
@@ -191,7 +193,7 @@ def composed_linear(x, w, b):
 
 def composed_conv2d_prelu(x, kernels, bias, slope, residual=False):
     """The composed form of ``ad.conv2d_prelu``: the oracle for its output and gradients."""
-    out = ad.prelu(ad.conv2d_zero_pad(x, kernels, bias), slope)
+    out = prelu(ad.conv2d_zero_pad(x, kernels, bias), slope)
     return out + x if residual else out
 
 
@@ -223,7 +225,7 @@ class TestFusedLayers:
             assert (pre < 0).any() and (pre > 0).any()
         weights = np.random.default_rng(1).normal(size=fused(*operands).shape)
         params = {f"operand{i}": op for i, op in enumerate(operands) if op.requires_grad}
-        errors = ad.finite_diff_check_params(lambda: ad.tsum(fused(*operands) * weights), params)
+        errors = finite_diff_check_params(lambda: ad.tsum(fused(*operands) * weights), params)
         assert max(errors.values()) < 1e-4, errors
 
     @pytest.mark.parametrize("name", sorted(FUSED))
@@ -303,15 +305,15 @@ class TestPointwise:
         assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
     def test_prelu_negative_branch(self):
-        assert ad.prelu(ad.Tensor(-2.0), ad.Tensor(0.25)).item() == -0.5
+        assert prelu(ad.Tensor(-2.0), ad.Tensor(0.25)).data.item() == -0.5
 
     def test_prelu_positive_branch(self):
-        assert ad.prelu(ad.Tensor(3.0), ad.Tensor(0.7)).item() == 3.0
+        assert prelu(ad.Tensor(3.0), ad.Tensor(0.7)).data.item() == 3.0
 
     def test_prelu_slope_grad(self):
         x = ad.Tensor([-2.0, 3.0])
         slope = ad.Tensor(0.25, requires_grad=True)
-        ad.backward(ad.tsum(ad.prelu(x, slope)))
+        ad.backward(ad.tsum(prelu(x, slope)))
         assert_allclose(slope.grad, -2.0)
 
     def test_log_rejects_nonpositive(self):
@@ -375,7 +377,7 @@ class TestBranchFreeSelects:
     def test_prelu_forward_bits(self, case, slope):
         x = SELECT_INPUTS[case] if case < len(SELECT_INPUTS) else np.array([np.inf, -np.inf, np.nan, -np.nan])
         with np.errstate(all="ignore"), ad.scope(deferred=True):
-            out = ad.prelu(ad.Tensor(x), ad.Tensor(slope)).data
+            out = prelu(ad.Tensor(x), ad.Tensor(slope)).data
             want = np.where(x < 0, slope * x, x)
         assert out.tobytes() == want.tobytes()
 
@@ -400,7 +402,7 @@ class TestBranchFreeSelects:
 
     def test_non_scalar_slope_rejected(self):
         with pytest.raises(ShapeError, match="scalar"):
-            ad.prelu(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.full(3, 0.25)))
+            ad.conv2d_prelu(np.ones((1, 3, 3)), np.ones((1, 1, 1, 1)), np.zeros(1), np.full(3, 0.25))
 
 
 class TestConstantOperands:
@@ -425,7 +427,7 @@ class TestCheckScope:
     def test_deferred_block_skips_per_op_checks(self):
         with ad.scope(deferred=True), np.errstate(over="ignore"):
             out = ad.exp(ad.Tensor(1000.0))
-        assert np.isinf(out.item())
+        assert np.isinf(out.data.item())
 
     def test_state_restored_after_a_raise(self):
         with pytest.raises(NumericsError, match="planted"):
@@ -450,7 +452,7 @@ class TestCheckScope:
             with ad.scope(deferred=True, stage="other"), np.errstate(over="ignore"):
                 entered.set()
                 release.wait(10)
-                seen.append(ad.exp(ad.Tensor(1000.0)).item())
+                seen.append(ad.exp(ad.Tensor(1000.0)).data.item())
 
         worker = threading.Thread(target=hold)
         worker.start()
@@ -479,16 +481,12 @@ class TestBackward:
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
             ad.backward(x * x)
-        with pytest.raises(ShapeError, match=r"^item\(\) on tensor of shape \(2,\)$"):
-            x.item()
 
     def test_accumulation_across_calls(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         ad.backward(ad.tsum(x * x))
         ad.backward(ad.tsum(x * x))
         assert_allclose(x.grad, [4.0, 8.0])
-        x.zero_grad()
-        assert x.grad is None
 
     def test_reused_tensor_accumulates_once_per_use(self):
         x = ad.Tensor(2.0, requires_grad=True)
@@ -513,7 +511,7 @@ class TestBackward:
 class TestFiniteDiffCheck:
     def test_linear_exact(self):
         x = ad.Tensor(np.arange(4.0))
-        assert ad.finite_diff_check_params(lambda: ad.tsum(x), {"x": x})["x"] < 1e-10
+        assert finite_diff_check_params(lambda: ad.tsum(x), {"x": x})["x"] < 1e-10
 
     def test_threshold_constant_path(self):
         # Hard-threshold masks are constants: the analytic gradient through
@@ -525,7 +523,7 @@ class TestFiniteDiffCheck:
             keep = ad.Tensor((gg._sigmoid(t.data) >= 0.5).astype(float))
             return ad.tsum(t * keep)
 
-        assert ad.finite_diff_check_params(lambda: f(x), {"x": x})["x"] < 1e-8
+        assert finite_diff_check_params(lambda: f(x), {"x": x})["x"] < 1e-8
 
 
 PRIMITIVE_CASES = {
@@ -538,7 +536,7 @@ PRIMITIVE_CASES = {
     "exp": lambda t: ad.tsum(ad.exp(t)),
     "log": lambda t: ad.tsum(ad.log(t + 3.0)),
     "tanh": lambda t: ad.tsum(ad.tanh(t)),
-    "prelu": lambda t: ad.tsum(ad.prelu(t, ad.Tensor(0.25))),
+    "prelu": lambda t: ad.tsum(prelu(t, ad.Tensor(0.25))),
     "take": lambda t: ad.tsum(t[1:4] * 2.0),
     "reshape": lambda t: ad.tsum(ad.reshape(t, (3, 2)) * np.arange(6.0).reshape(3, 2)),
     "swapaxes": lambda t: ad.tsum(ad.swapaxes(ad.reshape(t, (1, 2, 3)), -1, -3) * np.arange(6.0).reshape(3, 2, 1)),
@@ -568,7 +566,7 @@ def check_primitive_gradient(name):
             x = ad.Tensor(np.where(np.abs(x.data) > 0.85, 0.0, x.data))
         if name == "prelu":  # keep away from the kink at 0
             x = ad.Tensor(np.where(np.abs(x.data) < 0.05, 0.5, x.data))
-        assert ad.finite_diff_check_params(lambda: f(x), {"x": x})["x"] < 1e-4, name
+        assert finite_diff_check_params(lambda: f(x), {"x": x})["x"] < 1e-4, name
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
@@ -642,3 +640,111 @@ def test_only_autodiff_builds_tape_nodes():
              for path in sorted(package.glob("*.py")) if path.name != "autodiff.py"}
     assert len(found) > 5
     assert not any(found.values()), found
+
+
+# Public names under src/sgcn that no command runs yet, each with the reason it stays.
+UNUSED_ALLOWED = {
+    "evaluation.mu_path_metrics": "the mean-path ADE/FDE that ROADMAP items 1 and 7 report",
+}
+
+
+def sgcn_module(node: ast.ImportFrom):
+    """The sgcn module an import reads names from: "" for the package itself, None outside sgcn."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module == "sgcn":
+        return ""
+    if node.level == 0 and node.module and node.module.startswith("sgcn."):
+        return node.module[len("sgcn."):]
+    return None
+
+
+def name_uses(tree, module=None) -> list:
+    """(key, node) for each use in ``tree``, the code of sgcn module ``module`` (None outside the package).
+
+    Keys: "mod.name" for a load of ``name`` inside ``mod``, an import of
+    it from ``mod``, or an attribute read on a name bound to ``mod``;
+    ".attr" for any attribute access, which is how a method is used.
+    """
+    bound, found = {}, []  # bound: local name -> the sgcn module it names
+    for node in ast.walk(tree):
+        source = sgcn_module(node) if isinstance(node, ast.ImportFrom) else None
+        for alias in node.names if source is not None else ():
+            if source:
+                found.append((f"{source}.{alias.name}", node))
+            else:
+                bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.append((f".{node.attr}", node))
+            if isinstance(node.value, ast.Name) and node.value.id in bound:
+                found.append((f"{bound[node.value.id]}.{node.attr}", node))
+        elif module is not None and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((f"{module}.{node.id}", node))
+    return found
+
+
+def public_definitions(tree):
+    """(name, node) of each public module-level function and class, and ("Class.method", node) of its public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unused_public_names(package: dict, others: list) -> list:
+    """Public definitions in ``package`` (module -> source) with no use in it or in ``others`` outside themselves."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    parsed = [(tree, module) for module, tree in trees.items()] + [(ast.parse(source), None) for source in others]
+    uses = {}  # key -> the nodes that use it
+    for tree, module in parsed:
+        for key, node in name_uses(tree, module):
+            uses.setdefault(key, []).append(node)
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in public_definitions(tree):
+            key = f".{name.split('.')[1]}" if "." in name else f"{module}.{name}"
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in uses.get(key, ())):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_unused_name_scan_counts_only_uses_of_the_module():
+    package = {"evaluation": """
+class Report:
+    ade: float
+
+    def rows(self):
+        return self.rows()
+
+def ade(pred):
+    return ade(pred)
+
+def fde(pred):
+    return pred
+
+def scored(pred):
+    return fde(pred)
+"""}
+    user = """
+from sgcn import evaluation as ev
+from sgcn.evaluation import scored
+report = ev.Report()
+print(report.ade, scored(0))
+"""
+    assert unused_public_names(package, [user]) == ["evaluation.Report.rows", "evaluation.ade"]
+
+
+def test_every_public_name_under_src_has_a_caller():
+    # src/ holds what train, eval, predict, dump-graphs, the scripts and the
+    # benchmark run; code only tests call lives under tests/
+    root = Path(__file__).resolve().parent.parent
+    package = {path.stem: path.read_text() for path in sorted((root / "src" / "sgcn").glob("*.py"))}
+    others = [path.read_text() for folder in ("scripts", "bench") for path in sorted((root / folder).glob("*.py"))]
+    assert len(package) > 5 and len(others) > 5
+    # an exemption that gains a caller is stale: delete it from UNUSED_ALLOWED
+    unused = unused_public_names(package, others)
+    assert sorted(unused) == sorted(UNUSED_ALLOWED), unused

@@ -13,6 +13,8 @@ from sgcn.autodiff import Tensor
 from sgcn.config import ModelConfig
 from sgcn.errors import ConfigError, NumericsError, ShapeError
 
+from conftest import prelu
+
 CFG = ModelConfig()
 
 
@@ -262,7 +264,7 @@ class TestAsymmetricConv:
 def composed_cascade(x, layers):
     """The cascade as tape primitives: the oracle for ``ad.conv_cascade``'s bits."""
     for row_k, row_b, col_k, col_b, slope in layers:
-        x = ad.prelu(ad.conv2d_zero_pad(x, row_k, row_b) + ad.conv2d_zero_pad(x, col_k, col_b), slope)
+        x = prelu(ad.conv2d_zero_pad(x, row_k, row_b) + ad.conv2d_zero_pad(x, col_k, col_b), slope)
     return x
 
 

@@ -18,6 +18,8 @@ from sgcn.config import ModelConfig
 from sgcn.data import TrajectoryScene
 from sgcn.errors import CheckpointError, ConfigError, NumericsError, ShapeError
 
+from conftest import finite_diff_check_params, prelu
+
 
 def small_cfg(**kw):
     base = dict(t_obs=4, t_pred=3, embed_dim=16, conv_layers=2)
@@ -41,7 +43,7 @@ def prelu_np(x, slope):
 
 def composed_gcn_layer(adjacency, features, weight, slope):
     """The composed form of ``ad.gcn_layer``: the oracle for its output and gradients."""
-    return ad.prelu(ad.matmul(ad.matmul(ad.swapaxes(adjacency, -1, -2), features), weight), slope)
+    return prelu(ad.matmul(ad.matmul(ad.swapaxes(adjacency, -1, -2), features), weight), slope)
 
 
 def gcn_operands(seed):
@@ -71,7 +73,7 @@ class TestGcnLayer:
         assert (pre < 0).any() and (pre > 0).any()  # both PReLU branches, so the slope gradient is exercised
         weights = np.random.default_rng(11).normal(size=pre.shape)
         params = dict(zip(("adjacency", "features", "weight", "slope"), operands))
-        errors = ad.finite_diff_check_params(lambda: ad.tsum(ad.gcn_layer(*operands) * weights), params)
+        errors = finite_diff_check_params(lambda: ad.tsum(ad.gcn_layer(*operands) * weights), params)
         assert max(errors.values()) < 1e-4, errors
 
     def test_equals_the_composed_layer_bit_for_bit(self):

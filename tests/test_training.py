@@ -16,7 +16,7 @@ from sgcn.config import ModelConfig, TrainConfig
 from sgcn.errors import ConfigError, NumericsError
 from sgcn.model import forward, group_by_size, init_weights, load_checkpoint
 
-from conftest import FIXTURE_SCENES, fixture_positions
+from conftest import FIXTURE_SCENES, finite_diff_check_params, fixture_positions
 
 SMALL_CFG = ModelConfig(t_obs=4, t_pred=3, embed_dim=16, conv_layers=2)
 
@@ -58,14 +58,14 @@ class TestNllOracles:
         # mean costs exactly log(2*pi) per step
         raw = Tensor(np.zeros((12, 3, 5)))
         loss = tr.nll_loss(raw, np.zeros((12, 3, 2)))
-        assert loss.item() == pytest.approx(12 * tr.LOG_2PI, abs=1e-12)
+        assert loss.data.item() == pytest.approx(12 * tr.LOG_2PI, abs=1e-12)
 
     def test_unit_offset_adds_half(self):
         raw = Tensor(np.zeros((12, 2, 5)))
         gt = np.zeros((12, 2, 2))
         gt[..., 0] = 1.0
         loss = tr.nll_loss(raw, gt)
-        assert loss.item() == pytest.approx(12 * (tr.LOG_2PI + 0.5), abs=1e-12)
+        assert loss.data.item() == pytest.approx(12 * (tr.LOG_2PI + 0.5), abs=1e-12)
 
     def test_correlation_term_hand_case(self):
         raw = np.zeros((1, 1, 5))
@@ -75,20 +75,20 @@ class TestNllOracles:
         z = 0.3**2 - 2 * r * 0.3 * (-0.2) + 0.2**2
         expected = tr.LOG_2PI + 0.5 * math.log(1 - r**2) + z / (2 * (1 - r**2))
         loss = tr.nll_loss(Tensor(raw), gt)
-        assert loss.item() == pytest.approx(expected, abs=1e-12)
+        assert loss.data.item() == pytest.approx(expected, abs=1e-12)
 
     def test_matches_independent_formula(self):
         rng = np.random.default_rng(5)
         raw = rng.normal(size=(4, 3, 5))
         gt = rng.normal(size=(4, 3, 2))
         loss = tr.nll_loss(Tensor(raw), gt)
-        assert loss.item() == pytest.approx(nll_reference(raw, gt), abs=1e-10)
+        assert loss.data.item() == pytest.approx(nll_reference(raw, gt), abs=1e-10)
 
     def test_sigma_floor_keeps_loss_finite(self):
         raw = np.zeros((2, 1, 5))
         raw[..., 2:4] = -1000.0  # decodes to sigma = 1e-8, not 0
         loss = tr.nll_loss(Tensor(raw), np.zeros((2, 1, 2)))
-        assert np.isfinite(loss.item())
+        assert np.isfinite(loss.data.item())
 
     def test_extreme_correlation_is_clamped(self):
         raw = np.zeros((2, 2, 5))
@@ -96,14 +96,14 @@ class TestNllOracles:
         t = Tensor(raw, requires_grad=True)
         loss = tr.nll_loss(t, np.ones((2, 2, 2)))
         ad.backward(loss)
-        assert np.isfinite(loss.item())
+        assert np.isfinite(loss.data.item())
         assert np.all(np.isfinite(t.grad))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         raw = Tensor(rng.normal(scale=0.5, size=(3, 2, 5)), requires_grad=True)
         gt = rng.normal(size=(3, 2, 2))
-        errors = ad.finite_diff_check_params(lambda: tr.nll_loss(raw, gt), {"raw": raw})
+        errors = finite_diff_check_params(lambda: tr.nll_loss(raw, gt), {"raw": raw})
         assert errors["raw"] < 1e-5
 
 
@@ -467,10 +467,10 @@ def test_group_losses_and_gradients_match_per_window():
     for scene in scenes:
         loss = tr.group_loss([scene], weights, cfg)
         ad.backward(loss)
-        singles.append(loss.item())
+        singles.append(loss.data.item())
     want = {name: w.grad for name, w in weights.items()}
     for w in weights.values():
-        w.zero_grad()
+        w.grad = None
     for group in groups:
         losses = tr.group_loss([scenes[i] for i in group], weights, cfg)
         assert losses.shape == (len(group),)
