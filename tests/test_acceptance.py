@@ -209,6 +209,7 @@ def test_c6_overfit_smoke(overfit_run):
 
 
 def test_c7_desk_scale_training_loose_bound():
+    # the desk-scale leave-one-out protocol; the planned scripts/ablate.py reuses its subsampling
     start = time.monotonic()
     with tempfile.TemporaryDirectory() as td:
         synthetic.write_dataset(td, n_steps=520)
@@ -223,7 +224,9 @@ def test_c7_desk_scale_training_loose_bound():
     cfg = ModelConfig()
     weights, _ = tr.train(train_scenes, cfg, TrainConfig(epochs=10, batch_size=16, lr=1e-3, seed=0))
     report = ev.evaluate_best_of_k(weights, cfg, test_scenes, k=20, seed=0)
+    untrained = ev.evaluate_best_of_k(mm.init_weights(cfg, seed=0), cfg, test_scenes, k=20, seed=0)
     assert report.ade < 1.5
+    assert report.ade < 0.5 * untrained.ade  # observed 0.366 against 1.733
     assert time.monotonic() - start < 7200.0
 
 
