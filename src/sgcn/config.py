@@ -66,12 +66,13 @@ class TrainConfig:
 def read_config_file(path) -> dict:
     """Parse a flat key=value utf-8 config file into a string->string dict.
 
-    Blank lines and #-comments are ignored.  A line splits at its first
-    '=', so a value may itself contain '='.  A key given twice or a byte
-    that is not utf-8 text raises a ``ConfigError`` naming the line.
+    A leading byte-order mark is skipped.  Blank lines and #-comments are
+    ignored.  A line splits at its first '=', so a value may itself contain
+    '='.  A key given twice or a byte that is not utf-8 text raises a
+    ``ConfigError`` naming the line.
     """
     result, first_line = {}, {}
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")  # a bad byte reads as a lone surrogate
+    text = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape")  # a bad byte reads as a lone surrogate
     for lineno, line in enumerate(text.split("\n"), start=1):  # file lines: a form feed splits none
         stripped = line.strip()
         where = f"{path}:{lineno}"

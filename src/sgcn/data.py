@@ -60,14 +60,24 @@ class DatasetSplit:
     test_scenes: list
 
 
+def _numeral(token: str) -> str:
+    """``token``, or ValueError if it is a spelling that only Python's int() and float() read.
+
+    Those read digit-group underscores ("1_5") and non-ASCII digits; np.loadtxt reads neither.
+    """
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not an ASCII numeral: {token!r}")
+    return token
+
+
 def _parse_int_field(token: str, what: str, where: str) -> int:
     # int() keeps ids beyond 2**53 exact; float() accepts exports that write ids as "1.0".
     shown = repr(token if len(token) <= 40 else token[:40] + "...")
     try:
-        value = int(token)
+        value = int(_numeral(token))
     except ValueError:
         try:
-            value = float(token)
+            value = float(_numeral(token))
         except ValueError:
             raise DataError(f"{where}: {what} {shown} is not numeric") from None
         if token.lstrip("+-").lower() in ("inf", "infinity") or not (math.isinf(value) or value.is_integer()):
@@ -118,7 +128,7 @@ def _read_lines(path: Path) -> tuple:
             frames.append(_parse_int_field(tokens[0], "frame_id", where))
             ped_ids.append(_parse_int_field(tokens[1], "pedestrian_id", where))
             try:
-                x, y = float(tokens[2]), float(tokens[3])
+                x, y = float(_numeral(tokens[2])), float(_numeral(tokens[3]))
             except ValueError:
                 raise DataError(f"{where}: position fields must be numeric") from None
             if not (math.isfinite(x) and math.isfinite(y)):

@@ -10,10 +10,10 @@ smallest ADE; that same sample supplies the pedestrian's FDE.
 constant weights, so inference records no autodiff tape.  Each group is
 then scored in one vectorized pass: its K samples per window, their
 paths, errors and best-of-K pick are each one array operation over the
-whole group.  Worker threads take whole groups.  Each scene still draws
-its normals from its own spawned child seed, and its forward output and
-every scoring step are elementwise or per-window reductions, so results
-are identical for any grouping, evaluation order, and number of threads.
+whole group.  Each scene still draws its normals from its own spawned
+child seed, and its forward output and every scoring step are
+elementwise or per-window reductions, so results are identical for any
+grouping and evaluation order.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _path_errors(paths: np.ndarray, gt: np.ndarray) -> tuple:
     return dist.mean(axis=-2), dist[..., -1, :]
 
 
-def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
+def _per_scene(score, weights, cfg: ModelConfig, scenes) -> list:
     """One result per scene, in scene order, from ``score(group, params)`` on each ``model.map_groups`` group.
 
     ``group`` is an equal-N group's scene indices and ``params`` its
@@ -70,7 +70,7 @@ def _per_scene(score, weights, cfg: ModelConfig, scenes, jobs: int = 1) -> list:
     def run(group):
         return score(group, predict(np.stack([scenes[i].displacements_obs for i in group]), frozen, cfg))
 
-    return map_groups(run, scenes, jobs)
+    return map_groups(run, scenes)
 
 
 def _group_truth(scenes, group) -> tuple:
@@ -80,7 +80,12 @@ def _group_truth(scenes, group) -> tuple:
 
 
 def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int = 0, jobs: int = 1) -> MetricsReport:
-    """Best-of-K metrics over test scenes; deterministic for a given seed."""
+    """Best-of-K metrics over test scenes; deterministic for a given seed.
+
+    ``jobs`` changes nothing: every pass runs on the caller's thread.  It
+    stays only because ``bench/run.py`` passes it; the bench half of
+    ROADMAP item 6 (b) deletes it.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     start = time.monotonic()
@@ -95,7 +100,7 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
         return list(zip(np.take_along_axis(ade_bkn, best, axis=1)[:, 0],
                         np.take_along_axis(fde_bkn, best, axis=1)[:, 0]))
 
-    results = _per_scene(best_of_k, weights, cfg, scenes, jobs)
+    results = _per_scene(best_of_k, weights, cfg, scenes)
 
     all_ade = np.concatenate([r[0] for r in results])
     all_fde = np.concatenate([r[1] for r in results])
@@ -144,7 +149,7 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
 def write_summary(report: MetricsReport, path) -> None:
     """Human-readable summary; the only metrics artifact carrying wall clock."""
     lines = [
-        f"scenes evaluated: {report.n_scenes}",
+        f"windows evaluated: {report.n_scenes}",
         f"pedestrians evaluated: {report.n_pedestrians}",
         f"samples per pedestrian: {report.k}",
         f"seed: {report.seed}",

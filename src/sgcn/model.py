@@ -16,7 +16,6 @@ import bisect
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
@@ -133,24 +132,25 @@ def group_by_size(sizes, budget: int) -> list:
     return groups
 
 
-def map_groups(fn, scenes, jobs: int = 1) -> list:
+def map_groups(fn, scenes) -> list:
     """``fn(group)`` on each equal-N group of ``scenes``; the results in scene order.
 
     Groups come from ``group_by_size`` at ``GROUP_PEDESTRIANS``, so a lone
     window of any size is one group.  ``fn`` gets a group's window
     indices and returns one result per index.  It runs inside
     ``autodiff.scope(deferred=True)``, so only the arrays that leave the
-    tape are checked; ``jobs`` threads take whole groups.  If a group
-    raises NumericsError, its windows are rerun one at a time with per-op
-    checks on, and the first that fails alone raises its error (op and
-    stage) prefixed with ``scene NAME@frameF (N=n): ``; else the group's
-    error is re-raised.  The rerun calls the same ``fn``, so windows that
-    pass alone repeat its side effects.
+    tape are checked.  Groups run one after another on the caller's
+    thread.  If a group raises NumericsError, its windows are rerun one at
+    a time with per-op checks on, and the first that fails alone raises
+    its error (op and stage) prefixed with ``scene NAME@frameF (N=n): ``;
+    else the group's error is re-raised.  The rerun calls the same ``fn``,
+    so windows that pass alone repeat its side effects.
     """
-    def run(group):
+    results = [None] * len(scenes)
+    for group in group_by_size([s.n_pedestrians for s in scenes], GROUP_PEDESTRIANS):
         try:
             with ad.scope(deferred=True):
-                return fn(group)
+                output = fn(group)
         except NumericsError:
             for i in group:  # outside the deferred scope: per-op checks are on
                 try:
@@ -161,15 +161,6 @@ def map_groups(fn, scenes, jobs: int = 1) -> list:
                         f"scene {scene.scene_name}@frame{scene.start_frame} (N={scene.n_pedestrians}): {err}"
                     ) from err
             raise
-
-    groups = group_by_size([s.n_pedestrians for s in scenes], GROUP_PEDESTRIANS)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run, groups))
-    else:
-        outputs = [run(group) for group in groups]
-    results = [None] * len(scenes)
-    for group, output in zip(groups, outputs):
         for i, result in zip(group, output):
             results[i] = result
     return results

@@ -95,6 +95,13 @@ class TestConfigResolution:
         assert run.epochs == 9
         assert run.lr == 0.01
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # editors on Windows may save utf-8 with a BOM; it is not part of the first key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfepochs=3\n")
+        run = cli.resolve_config(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
+        assert run.epochs == 3
+
     def test_env_fills_data_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SGCN_DATA_ROOT", str(tmp_path))
         args = cli.build_parser().parse_args(["train"])

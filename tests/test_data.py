@@ -56,6 +56,18 @@ class TestLoadSceneFile:
         with pytest.raises(DataError, match="bad.txt:3: position fields must be numeric"):
             dd.load_scene_file(p)
 
+    @pytest.mark.parametrize("line, message", [
+        ("20 1 1_5 2.0", "position fields must be numeric"),
+        ("20 1 \u0661.\u0665 2.0", "position fields must be numeric"),
+        ("1_0 1 2.5 3.5", "frame_id '1_0' is not numeric"),
+        ("20 \u0661.0 2.5 3.5", "pedestrian_id '\u0661.0' is not numeric"),
+    ], ids=["position_underscore", "position_arabic_indic", "frame_underscore", "pedestrian_arabic_indic"])
+    def test_python_only_numeral_rejected_with_line_number(self, tmp_path, line, message):
+        # int() and float() read "1_5" as 15 and Arabic-Indic digits as ASCII ones
+        p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", line])
+        with pytest.raises(DataError, match=re.escape(f"bad.txt:2: {message}")):
+            dd.load_scene_file(p)
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_frame_id_rejected_with_line_number(self, tmp_path, token):
         p = write_lines(tmp_path / "bad.txt", ["10 1 2.5 3.5", f"{token} 1 2.5 3.5"])
@@ -205,6 +217,8 @@ def load_outcome(path):
 @given(scene_files())
 @example(b"0 -9223372036854775808 1.0 1.0\n")  # beyond 2**53: the per-line rules decide
 @example(b"10 1.0 0.5 0.5\r\n\n10.0 2 0.5 0.5\r\n")  # decimal-spelled ids
+@example(b"20 1 1_5 2.0\n1_0 2 0.5 0.5\n")  # digit-group underscores
+@example("20 1 \u0661.\u0665 2.0\n\u0661 2 0.5 0.5\n".encode())  # Arabic-Indic digits
 @settings(max_examples=300, deadline=None)
 def test_one_pass_read_matches_per_line_rules(raw):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,7 +1,8 @@
 """Displacement-error metrics and the best-of-K evaluation protocol."""
 
+import threading
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -178,29 +179,20 @@ class TestBestOfK:
         assert r1.per_scene == r2.per_scene
         assert bytes1 == bytes2
 
-    def test_parallel_equals_serial(self):
-        # every scene owns a spawned seed, so thread scheduling cannot
-        # reorder randomness
-        scenes = random_scenes(n_scenes=6)
-        weights = init_weights(SMALL_CFG, seed=2)
-        serial, serial_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=1)
-        parallel, parallel_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=3)
-        assert serial.ade == parallel.ade
-        assert serial.fde == parallel.fde
-        assert serial.per_scene == parallel.per_scene
-        assert serial_bytes == parallel_bytes
-
-    def test_two_threads_equal_one(self):
-        # worker threads defer their own per-op checks; results do not move
+    def test_jobs_starts_no_thread(self, tmp_path):
+        # jobs is kept for bench/run.py's keyword only: jobs=2 runs on the
+        # caller's thread and reports what jobs=1 does, to the byte
         scenes = random_scenes(n_scenes=8, seed=3)
         weights = init_weights(SMALL_CFG, seed=2)
-        serial, serial_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=1)
-        threaded, threaded_bytes = scored(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=2)
-        assert (serial.ade, serial.fde, serial.per_scene) == (threaded.ade, threaded.fde, threaded.per_scene)
-        assert serial_bytes == threaded_bytes
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread was started")):
+            reports = [ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=jobs) for jobs in (1, 2)]
+        for jobs, report in zip((1, 2), reports):
+            ev.write_metrics_csv(report, tmp_path / f"jobs{jobs}.csv")
+        one, two = (asdict(replace(r, wall_clock_s=0.0)) for r in reports)
+        assert one == two
+        assert (tmp_path / "jobs2.csv").read_bytes() == (tmp_path / "jobs1.csv").read_bytes()
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_nan_window_names_scene_op_and_stage(self, jobs):
+    def test_nan_window_names_scene_op_and_stage(self):
         scenes = random_scenes(n_scenes=8, seed=3)
         bad = replace(scenes[5], positions_obs=np.full_like(scenes[5].positions_obs, np.nan),
                       start_frame=70, scene_name="BADSCENE")
@@ -211,12 +203,11 @@ class TestBestOfK:
             rf"^scene BADSCENE@frame70 \(N={bad.n_pedestrians}\): "
             r"non-finite values produced by 'tensor' in stage 'spatial_graph'$"
         )):
-            ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=jobs)
+            ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5)
         with pytest.raises(NumericsError), np.errstate(over="ignore"):
             ad.exp(ad.Tensor(1000.0))
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_nan_weight_names_scene_op_and_stage(self, jobs):
+    def test_nan_weight_names_scene_op_and_stage(self):
         # the constant weight copies are not checked one by one: the pass's
         # exit check fails and the per-op rerun names the op of the bad weight
         scenes = random_scenes(n_scenes=8, seed=3)
@@ -227,10 +218,9 @@ class TestBestOfK:
             rf"^scene {first.scene_name}@frame{first.start_frame} \(N={first.n_pedestrians}\): "
             r"non-finite values produced by 'gcn_layer' in stage 'branches'$"
         )):
-            ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5, jobs=jobs)
+            ev.evaluate_best_of_k(weights, SMALL_CFG, scenes, k=3, seed=5)
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_grouped_report_matches_per_scene_loop(self, tmp_path, jobs):
+    def test_grouped_report_matches_per_scene_loop(self, tmp_path):
         # equal-N groups, one split by the budget, one window above it and a
         # full-cap group of 48 N = 1 windows, against one single-window forward
         # pass and one k-draw per scene, bytes included
@@ -261,7 +251,7 @@ class TestBestOfK:
             per_scene={name: (float(a / c), float(f / c), c) for name, (a, f, c) in per_scene.items()},
         )
         with recorded_scores() as scores:
-            got = ev.evaluate_best_of_k(weights, LONG_CFG, scenes, k=k, seed=seed, jobs=jobs)
+            got = ev.evaluate_best_of_k(weights, LONG_CFG, scenes, k=k, seed=seed)
         assert [(a.tobytes(), f.tobytes()) for a, f in scores[0]] == [(a.tobytes(), f.tobytes()) for a, f in zip(ades, fdes)]
         assert (got.ade, got.fde, got.per_scene) == (want.ade, want.fde, want.per_scene)
         ev.write_metrics_csv(want, tmp_path / "want.csv")
@@ -398,6 +388,7 @@ class TestReports:
         report = ev.MetricsReport(ade=0.1, fde=0.2, n_pedestrians=9, n_scenes=4, k=20, seed=1, wall_clock_s=2.5)
         ev.write_summary(report, tmp_path / "summary.txt")
         text = (tmp_path / "summary.txt").read_text()
+        assert "windows evaluated: 4" in text
         assert "pedestrians evaluated: 9" in text
         assert "samples per pedestrian: 20" in text
         assert "wall clock" in text

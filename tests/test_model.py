@@ -211,9 +211,9 @@ def test_group_by_size_fills_groups_in_order():
     assert mm.group_by_size([2, 3, 2, 2, 50, 3, 2, 50], 4) == [[0, 2], [1], [3, 6], [4], [5], [7]]
 
 
-@given(st.lists(st.integers(1, 6), max_size=30), st.integers(1, 20), st.sampled_from([1, 2]))
+@given(st.lists(st.integers(1, 6), max_size=30), st.integers(1, 20))
 @settings(max_examples=100, deadline=None)
-def test_map_groups_returns_the_per_window_loop_in_scene_order(sizes, budget, jobs):
+def test_map_groups_returns_the_per_window_loop_in_scene_order(sizes, budget):
     scenes = observed_windows(sizes, seed=len(sizes))
     deferred = []
 
@@ -223,13 +223,13 @@ def test_map_groups_returns_the_per_window_loop_in_scene_order(sizes, budget, jo
         return [(i, stacked[b].tobytes()) for b, i in enumerate(group)]
 
     with mock.patch.object(mm, "GROUP_PEDESTRIANS", budget):  # a monkeypatch fixture trips Hypothesis' health check
-        got = mm.map_groups(fn, scenes, jobs)
+        got = mm.map_groups(fn, scenes)
     assert deferred == [True] * len(mm.group_by_size(sizes, budget))
     assert not ad._state.deferred
     assert got == [fn([i])[0] for i in range(len(scenes))]
 
 
-def test_nan_window_in_a_later_group_is_named_with_two_threads():
+def test_nan_window_in_a_later_group_is_named():
     cfg = small_cfg()
     weights = mm.init_weights(cfg, seed=3)
     scenes = observed_windows([2, 3, 2, 3, 4, 4], seed=5)
@@ -243,7 +243,7 @@ def test_nan_window_in_a_later_group_is_named_with_two_threads():
     with pytest.raises(NumericsError, match=(
         r"^scene BAD@frame5 \(N=4\): non-finite values produced by 'tensor' in stage 'spatial_graph'$"
     )):
-        mm.map_groups(fn, scenes, jobs=2)
+        mm.map_groups(fn, scenes)
 
 
 def test_group_error_is_reraised_when_no_window_fails_alone():
