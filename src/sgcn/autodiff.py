@@ -391,38 +391,32 @@ def gcn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, slope: Tensor
     return Tensor(out, _parents=(adjacency, features, weight, slope), _vjp=vjp, _op="gcn_layer")
 
 
-def _padder(shape: tuple, kh: int, kw: int):
-    """A function that pads an x of ``shape`` [B, C, H, W] and returns its im2col columns [B, C*kh*kw, H*W].
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The im2col columns [B, C*kh*kw, H*W] of x [B, C, H, W], zero-padded for a (kh x kw) kernel.
 
-    Each call writes x into the interior of one zero-bordered buffer,
-    kh // 2 rows and kw // 2 columns wide, and reshapes one read-only taps
-    view [B, C, kh, kw, H, W] of that buffer into columns, rows in
-    (c, i, j) order.  numpy makes the reshape a view where the strides
-    allow it (a 1x1 kernel, or one channel's Sx1 kernel, whose rows then
-    overlap) and a copy elsewhere; a view follows the next call's write.
+    x is written into a fresh buffer with kh // 2 rows and kw // 2 columns
+    of zeros on each side, and a taps view [B, C, kh, kw, H, W] of that
+    buffer is reshaped into columns, rows in (c, i, j) order.  numpy makes
+    the reshape a view where the strides allow it (a 1x1 kernel, or one
+    channel's Sx1 kernel, whose rows then overlap) and a copy elsewhere.
     """
-    n_b, c, height, width = shape
+    n_b, c, height, width = x.shape
     padded = np.zeros((n_b, c, height + kh - 1, width + kw - 1))
+    padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width] = x
     taps = np.ndarray((n_b, c, kh, kw, height, width), padded.dtype, padded, strides=padded.strides + padded.strides[2:])
-    taps.flags.writeable = False
-    interior = padded[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width]
-
-    def columns(x: np.ndarray) -> np.ndarray:
-        interior[...] = x
-        return taps.reshape(n_b, c * kh * kw, height * width)
-
-    return columns
+    return taps.reshape(n_b, c * kh * kw, height * width)
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded correlation of x [B, C_in, H, W] with [C_out, C_in, kh, kw] -> [B, C_out, H, W].
 
-    One im2col gemm per window, so a window's result does not depend on B.
-    ``cols`` are x's im2col columns, when the caller has them already.
+    One gemm per window on x's :func:`_columns`, so a window's result does
+    not depend on B; a caller that already has those columns passes them
+    as ``cols``.
     """
     n_b, _, height, width = x.shape
     if cols is None:
-        cols = _padder(x.shape, *kernels.shape[2:])(x)
+        cols = _columns(x, *kernels.shape[2:])
     out = kernels.reshape(len(kernels), -1) @ cols
     return out.reshape(n_b, -1, height, width)
 
@@ -478,8 +472,7 @@ def conv2d_zero_pad(x, kernels, bias) -> Tensor:
     out = _conv(flat, kernels, bias)
 
     def vjp(g):
-        cols = _padder(flat.shape, kh, kw)(flat)
-        gx, gk, gb = _conv_vjp(g.reshape(-1, c_out, height, width), kernels.data, cols)
+        gx, gk, gb = _conv_vjp(g.reshape(-1, c_out, height, width), kernels.data, _columns(flat, kh, kw))
         return gx.reshape(x.shape), gk, gb
 
     return Tensor(out.reshape(x.shape[:-3] + out.shape[1:]), _parents=(x, kernels, bias), _vjp=vjp, _op="conv2d")
@@ -506,7 +499,7 @@ def conv2d_prelu(x, kernels, bias, slope, residual: bool = False) -> Tensor:
         out += x.data
 
     def vjp(g):
-        cols = _padder(flat.shape, kh, kw)(flat)
+        cols = _columns(flat, kh, kw)
         # the recomputed pre-activation is freed when _prelu_vjp returns, before the conv gradients
         g_pre, g_slope = _prelu_vjp(g, _conv(flat, kernels, bias, cols).reshape(out_shape), neg, slope)
         gx, gk, gb = _conv_vjp(g_pre.reshape(-1, c_out, height, width), kernels.data, cols)
@@ -522,29 +515,21 @@ def conv_cascade(x: np.ndarray, layers) -> np.ndarray:
     ``x`` is [..., C, H, W] and the output has its shape; ``layers`` is a
     sequence of (row_k, row_b, col_k, col_b, slope) Tensors whose kernels
     keep the C channels.  The gate features it computes only feed a hard
-    threshold that backward never crosses, so it records no node.  Each
-    kernel extent gets one padder per call.  The gemms, bias adds, sum
-    and PReLU are those of ``conv2d_zero_pad``, ``add`` and the fused
-    layers, so the output is the same to the bit; the padding matters
-    too, as the columns' strides pick numpy's matmul path: one channel's
-    (Sx1) columns are an overlapping view that numpy multiplies without
-    BLAS.
+    threshold that backward never crosses, so it records no node.  Its
+    columns, gemms, bias adds, sum and PReLU are those of
+    ``conv2d_zero_pad``, ``add`` and the fused layers, so the output is the
+    same to the bit; the columns' strides pick numpy's matmul path, and one
+    channel's (Sx1) columns are an overlapping view that numpy multiplies
+    without BLAS.
     Like every array that leaves the tape, its output is checked once,
     where it leaves: ``graphs.sparsify`` checks it as ``'gate features'``.
     """
     c, height, width = x.shape[-3:]
     out = x.reshape(-1, c, height, width)
-    padders = {}  # (kh, kw) -> the padder of that kernel extent
-
-    def conv(layer_in, kernels, bias):
-        _check_conv(x, kernels, bias, same_channels=True)
-        extent = kernels.shape[2:]
-        if extent not in padders:
-            padders[extent] = _padder(layer_in.shape, *extent)
-        return _conv(layer_in, kernels, bias, padders[extent](layer_in))
-
     for row_k, row_b, col_k, col_b, slope in layers:
-        out, f_col = conv(out, row_k, row_b), conv(out, col_k, col_b)
+        _check_conv(x, row_k, row_b, same_channels=True)
+        _check_conv(x, col_k, col_b, same_channels=True)
+        out, f_col = _conv(out, row_k, row_b), _conv(out, col_k, col_b)
         out += f_col
         out *= _prelu_factor(out < 0, slope)
     return out.reshape(x.shape)

@@ -101,13 +101,15 @@ def sparsify(scores: Tensor, features: np.ndarray, xi: float, allowed=True) -> S
     An entry is kept where sigmoid(features) >= xi or it lies on the
     diagonal, and only where ``allowed`` (a bool pattern broadcast
     against the scores) permits; pruned entries are exactly 0 after
-    zero_softmax.  ``allowed`` must include the diagonal.  ``features``
+    zero_softmax.  ``allowed`` must include the diagonal.  xi = 1 keeps
+    only the diagonal: sigmoid stays below 1 for finite features, though
+    in float64 it rounds to 1.0 above about 36.7.  ``features``
     leave the tape here, so they are checked even when per-op checks are
     deferred: sigmoid(NaN) >= xi is False, so a NaN would otherwise prune
     its edge without an error.
     """
     ad._check_finite(features, "gate features")
-    keep = ((_sigmoid(features) >= xi) | np.eye(scores.shape[-1], dtype=bool)) & allowed
+    keep = (((_sigmoid(features) >= xi) & (xi < 1)) | np.eye(scores.shape[-1], dtype=bool)) & allowed
     return SparseAdjacency(normalized=zero_softmax(scores * keep), mask=keep)
 
 

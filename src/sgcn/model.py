@@ -303,6 +303,14 @@ def mu_trajectory(params: BiGaussianParams, last_observed: np.ndarray) -> np.nda
 # checkpoint format: text header (version, config, shape table) + raw payload
 
 
+def write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``: a failed write keeps the old file."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
     """Write header + row-major little-endian float64 payloads atomically."""
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
@@ -313,14 +321,8 @@ def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
         dims = " ".join(str(d) for d in weights[name].shape)
         lines.append(f"param {name} {dims}".rstrip())
     lines.append("END")
-    payload = b"".join(
-        np.ascontiguousarray(weights[name].data, dtype="<f8").tobytes() for name in names
-    )
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
-        fh.write(payload)
-    os.replace(tmp, path)
+    payloads = [np.ascontiguousarray(weights[name].data, dtype="<f8").tobytes() for name in names]
+    write_atomically(path, b"".join([("\n".join(lines) + "\n").encode()] + payloads))
 
 
 def load_checkpoint(path) -> tuple:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
 from .errors import ConfigError
-from .model import forward, gaussian_terms, init_weights, map_groups, save_checkpoint
+from .model import forward, gaussian_terms, init_weights, map_groups, save_checkpoint, write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -105,11 +104,11 @@ class Adam:
 
 
 def write_loss_log(rows, path) -> None:
-    """CSV ``epoch,step,nll,lr``; floats via repr for byte-stable output."""
+    """CSV ``epoch,step,nll,lr``, written atomically; floats via repr for byte-stable output."""
     lines = ["epoch,step,nll,lr"]
     for epoch, step, nll, lr in rows:
         lines.append(f"{epoch},{step},{nll!r},{lr!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomically(path, ("\n".join(lines) + "\n").encode())
 
 
 def group_loss(scenes, weights: dict, model_cfg: ModelConfig) -> Tensor:
@@ -152,9 +151,10 @@ def train(
 
     Loss rows are (epoch, optimizer_step, mean window NLL, lr).  When
     paths are given, the checkpoint and then the loss log are rewritten
-    after every epoch, so both are usable mid-run.  A NumericsError names
-    the window that fails alone (``model.map_groups``); windows rerun
-    before it also run ``backward``, which is harmless, as the run aborts.
+    atomically after every epoch, so both are usable mid-run.  A
+    NumericsError names the window that fails alone
+    (``model.map_groups``); windows rerun before it also run
+    ``backward``, which is harmless, as the run aborts.
     The first call sets glibc to keep freed memory for the rest of the
     process (``_keep_freed_memory``), so later groups reuse the freed
     tapes of earlier ones; with another C library it changes nothing.

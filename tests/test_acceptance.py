@@ -25,7 +25,8 @@ from sgcn.config import ModelConfig, TrainConfig
 from conftest import finite_diff_check_params, fixture_positions
 from test_autodiff import PRIMITIVE_CASES, check_primitive_gradient
 from test_evaluation import mean_errors
-from test_model import branch_fixture, naive_branches, prelu_np
+from test_graphs import naive_cascade
+from test_model import branch_fixture, naive_branches, naive_gcn_layer
 
 # Full-model gradient check point, frozen after a margin scan.  Biases
 # initialize to zero and the first displacement row is zero by
@@ -129,11 +130,8 @@ def test_c4_oracle_equivalence():
 
     # single aggregation layer against an explicit receiver-by-receiver sum
     out = ad.gcn_layer(spa, h0_spa, w["gcn_spa1_w"], w["gcn_spa1_slope"])
-    for t in range(4):
-        for j in range(4):
-            agg = sum(spa.data[t, i, j] * h0_spa.data[t, i] for i in range(4))
-            want = prelu_np(agg @ w["gcn_spa1_w"].data, 0.25)
-            assert np.max(np.abs(out.data[t, j] - want)) < 1e-10
+    want = naive_gcn_layer(spa.data, h0_spa.data, w["gcn_spa1_w"].data, 0.25)
+    assert np.max(np.abs(out.data - want)) < 1e-10
 
     # asymmetric conv stack against a nested-loop convolution
     rng = np.random.default_rng(12)
@@ -146,25 +144,8 @@ def test_c4_oracle_equivalence():
             Tensor(rng.normal(size=(c, c, s, 1))), Tensor(rng.normal(size=c)),
             Tensor(0.3),
         ))
-
-    def naive_stack(x, layers):
-        cur = x
-        for row_k, row_b, col_k, col_b, slope in layers:
-            h = np.zeros_like(cur)
-            pad = np.pad(cur, ((0, 0), (1, 1), (1, 1)))
-            for o in range(c):
-                for ci in range(c):
-                    for i in range(n):
-                        for j in range(n):
-                            for k in range(s):
-                                h[o, i, j] += row_k.data[o, ci, 0, k] * pad[ci, i + 1, j + k]
-                                h[o, i, j] += col_k.data[o, ci, k, 0] * pad[ci, i + k, j + 1]
-            h += (row_b.data + col_b.data)[:, None, None]
-            cur = np.where(h < 0, slope.data * h, h)
-        return cur
-
     got = ad.conv_cascade(x, layers)
-    assert np.max(np.abs(got - naive_stack(x, layers))) < 1e-12
+    assert np.max(np.abs(got - naive_cascade(x, layers))) < 1e-12
 
 
 def test_c5_metric_oracles_and_best_of_k_monotonicity():

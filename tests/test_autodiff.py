@@ -143,33 +143,24 @@ class TestConv2d:
             for j in range(3):
                 assert np.array_equal(out[i, j], ad.conv2d_zero_pad(ad.Tensor(x[i, j]), k, b).data)
 
-    def test_im2col_view_is_read_only_and_follows_its_buffer(self):
-        # one channel's 5x1 columns are a view of the padder's one buffer
+    def test_columns_match_sliding_window_oracle(self):
+        # one channel's 5x1 columns are a view of the padded buffer, three channels' a copy
         rng = np.random.default_rng(3)
-        first, second = rng.normal(size=(2, 2, 1, 4, 6))
-        pad = ad._padder(first.shape, 5, 1)
-        cols = pad(first)
-        with pytest.raises(ValueError, match="read-only"):
-            cols[0, 0, 0] = 1.0
-
-        def im2col(x):
+        for x in rng.normal(size=(2, 1, 4, 6)), rng.normal(size=(2, 3, 4, 6)):
             padded = np.pad(x, ((0, 0), (0, 0), (2, 2), (0, 0)))
             taps = np.lib.stride_tricks.sliding_window_view(padded, (5, 1), axis=(2, 3))
-            return taps.transpose(0, 1, 4, 5, 2, 3).reshape(2, 5, 24)
-
-        assert np.array_equal(cols, im2col(first))
-        pad(second)
-        assert np.array_equal(cols, im2col(second))  # the next call's write shows through
+            oracle = taps.transpose(0, 1, 4, 5, 2, 3).reshape(2, x.shape[1] * 5, 24)
+            assert np.array_equal(ad._columns(x, 5, 1), oracle)
 
     @pytest.mark.parametrize("kh, kw, c, is_view", [(5, 1, 1, True), (1, 5, 1, False), (5, 1, 3, False), (1, 1, 3, True)])
     def test_columns_copy_or_view_as_the_strides_allow(self, kh, kw, c, is_view):
         # a one-channel (Sx1) kernel's columns stay an overlapping view of the
-        # read-only taps: numpy multiplies it without BLAS, and its bits differ
-        # from a copy's; a reshape that must copy gives a writeable array
+        # padded buffer: numpy multiplies it without BLAS, and its bits differ
+        # from a copy's; a reshape that must copy owns a [B, C, kh, kw, H, W] base
         x = np.random.default_rng(7).normal(size=(2, c, 4, 6))
-        cols = ad._padder(x.shape, kh, kw)(x)
+        cols = ad._columns(x, kh, kw)
         assert cols.shape == (2, c * kh * kw, 24)
-        assert cols.flags.writeable != is_view
+        assert (cols.base.shape == (2, c, 4 + kh - 1, 6 + kw - 1)) == is_view
 
     @pytest.mark.parametrize("wrt", ["input", "kernel"])
     def test_multichannel_3x3_gradients(self, wrt):
@@ -621,14 +612,14 @@ def autodiff_internals(source: str) -> list:
 def test_boundary_scan_finds_tape_nodes_and_private_names():
     source = """
 from . import autodiff as ad
-from .autodiff import Tensor, _check_finite, _padder
+from .autodiff import Tensor, _check_finite, _columns
 a = Tensor(x, _parents=(x,), _vjp=vjp)
 b = ad.Tensor(x, False, (x,), vjp)
 c = ad._correlate(x, k)
 ad._check_finite(c, "exit")
 d = Tensor(x, requires_grad=True)
 """
-    assert autodiff_internals(source) == ["3: imports _padder", "4: builds a tape node",
+    assert autodiff_internals(source) == ["3: imports _columns", "4: builds a tape node",
                                           "5: builds a tape node", "6: ad._correlate"]
 
 

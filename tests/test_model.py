@@ -104,13 +104,7 @@ class TestGcnLayer:
         rng = np.random.default_rng(2)
         a, h, w = rng.normal(size=(3, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
         out = ad.gcn_layer(Tensor(a), Tensor(h), Tensor(w), Tensor(0.3)).data
-        want = np.zeros((3, 4))
-        for j in range(3):
-            agg = np.zeros(4)
-            for i in range(3):
-                agg += a[i, j] * h[i]
-            want[j] = prelu_np(agg @ w, 0.3)
-        assert_allclose(out, want, atol=1e-12)
+        assert_allclose(out, naive_gcn_layer(a[None], h[None], w, 0.3)[0], atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -132,22 +126,24 @@ def branch_fixture(seed, n=3, t=4, d=8):
     return spa, tmp, h0_spa, h0_tmp, w
 
 
-def naive_branches(spa, tmp, h0_spa, h0_tmp, w):
-    """Loop-nest restatement: receivers sum influencer features, slice by slice."""
-    def gcn(a_slices, h_slices, weight, slope):
-        out = np.zeros((h_slices.shape[0], h_slices.shape[1], weight.shape[1]))
-        for s in range(a_slices.shape[0]):
-            for j in range(a_slices.shape[1]):
-                agg = np.zeros(h_slices.shape[2])
-                for i in range(a_slices.shape[1]):
-                    agg += a_slices[s, i, j] * h_slices[s, i]
-                out[s, j] = prelu_np(agg @ weight, slope)
-        return out
+def naive_gcn_layer(a_slices, h_slices, weight, slope):
+    """Loop-nest restatement of ``ad.gcn_layer``: receivers sum influencer features, slice by slice."""
+    out = np.zeros((h_slices.shape[0], h_slices.shape[1], weight.shape[1]))
+    for s in range(a_slices.shape[0]):
+        for j in range(a_slices.shape[1]):
+            agg = np.zeros(h_slices.shape[2])
+            for i in range(a_slices.shape[1]):
+                agg += a_slices[s, i, j] * h_slices[s, i]
+            out[s, j] = prelu_np(agg @ weight, slope)
+    return out
 
-    s1 = gcn(spa, h0_spa, w["gcn_spa1_w"].data, 0.25)                      # [T,N,D]
-    itf = gcn(tmp, np.swapaxes(s1, 0, 1), w["gcn_tmp1_w"].data, 0.25)      # [N,T,D]
-    t1 = gcn(tmp, h0_tmp, w["gcn_tmp2_w"].data, 0.25)                      # [N,T,D]
-    tif = gcn(spa, np.swapaxes(t1, 0, 1), w["gcn_spa2_w"].data, 0.25)      # [T,N,D]
+
+def naive_branches(spa, tmp, h0_spa, h0_tmp, w):
+    """Loop-nest restatement of both branches, one ``naive_gcn_layer`` per GCN layer."""
+    s1 = naive_gcn_layer(spa, h0_spa, w["gcn_spa1_w"].data, 0.25)                      # [T,N,D]
+    itf = naive_gcn_layer(tmp, np.swapaxes(s1, 0, 1), w["gcn_tmp1_w"].data, 0.25)      # [N,T,D]
+    t1 = naive_gcn_layer(tmp, h0_tmp, w["gcn_tmp2_w"].data, 0.25)                      # [N,T,D]
+    tif = naive_gcn_layer(spa, np.swapaxes(t1, 0, 1), w["gcn_spa2_w"].data, 0.25)      # [T,N,D]
     return itf, tif
 
 
