@@ -13,6 +13,8 @@ grouped passes (``map_groups``), sampling, and the checkpoint format.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import functools
 import itertools
 import math
 import os
@@ -304,31 +306,92 @@ def mu_trajectory(params: BiGaussianParams, last_observed: np.ndarray) -> np.nda
 
 
 def write_atomically(path, data: bytes) -> None:
-    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``: a failed write keeps the old file."""
+    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``.
+
+    A failed write or rename keeps the old file, removes the ``.tmp`` and
+    raises the original error.
+    """
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's or rename's error is the one to report
+            os.remove(tmp)
+        raise
+
+
+def _header(cfg: ModelConfig, shapes) -> bytes:
+    """The checkpoint header of ``cfg`` and the (name, shape) pairs in payload order, through the END line."""
+    lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
+    # repr and str agree on an int, and repr keeps every bit of a float
+    lines += [f"{key}={value!r}" for key, value in asdict(cfg).items()]
+    lines += [f"param {name} {' '.join(map(str, shape))}".rstrip() for name, shape in shapes]
+    return ("\n".join(lines) + "\nEND\n").encode()
+
+
+def _payload_layout(shapes) -> tuple:
+    """(names, shapes, sizes, ends) of parameters stored back to back in the order of the (name, shape) pairs.
+
+    Sizes and ends count float64 values.
+    """
+    names, shapes = zip(*shapes)
+    sizes = tuple(math.prod(shape) for shape in shapes)
+    return names, shapes, sizes, tuple(itertools.accumulate(sizes))
+
+
+@functools.lru_cache(maxsize=8)
+def _saved_form(config_lines: tuple):
+    """(header, ModelConfig, payload layout) that ``save_checkpoint`` writes for these config lines, or None.
+
+    ``config_lines`` are a header's seven lines after the version line,
+    as bytes, read in ``ModelConfig`` field order; None if a value does not
+    parse or the config is invalid.  Keyed by the lines' bytes, so two
+    spellings of one config never share an entry.
+    """
+    try:
+        cfg = ModelConfig(**{key: kind(line.partition(b"=")[2])
+                             for (key, kind), line in zip(_CONFIG_KINDS.items(), config_lines)})
+    except (ValueError, ConfigError):
+        return None
+    shapes = sorted((name, shape) for name, shape, _ in _layout(cfg))
+    return _header(cfg, shapes), cfg, _payload_layout(shapes)
 
 
 def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
-    """Write header + row-major little-endian float64 payloads atomically."""
-    lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
-    for key, value in asdict(cfg).items():
-        lines.append(f"{key}={value!r}")  # repr and str agree on an int, and repr keeps every bit of a float
+    """Write header + row-major little-endian float64 payloads atomically.
+
+    The header is the version line, one ``key=repr`` line per config field
+    in field order, one ``param NAME D1 D2...`` line per parameter in name
+    order, and END; the payloads follow in the same name order.
+    ``load_checkpoint`` reads a header in exactly this form by one
+    comparison.
+    """
     names = sorted(weights)
-    for name in names:
-        dims = " ".join(str(d) for d in weights[name].shape)
-        lines.append(f"param {name} {dims}".rstrip())
-    lines.append("END")
+    header = _header(cfg, [(name, weights[name].shape) for name in names])
     payloads = [np.ascontiguousarray(weights[name].data, dtype="<f8").tobytes() for name in names]
-    write_atomically(path, b"".join([("\n".join(lines) + "\n").encode()] + payloads))
+    write_atomically(path, b"".join([header] + payloads))
 
 
-def load_checkpoint(path) -> tuple:
-    """Read (constant weights, ModelConfig); malformed files raise CheckpointError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _read_saved_header(blob: bytes):
+    """(ModelConfig, payload offset, payload layout) if ``blob``'s header is exactly ``save_checkpoint``'s, else None."""
+    end = blob.find(b"\nEND\n")
+    if end < 0:
+        return None
+    n_fields = len(_CONFIG_KINDS)
+    form = _saved_form(tuple(blob[:end].split(b"\n", n_fields + 1)[1:n_fields + 1]))
+    if form is None or not blob.startswith(form[0]):  # the whole header, version line to END
+        return None
+    header, cfg, layout = form
+    return cfg, len(header), layout
+
+
+def _read_header(path, blob: bytes) -> tuple:
+    """(ModelConfig, payload offset, payload layout) of any header, read line by line.
+
+    A malformed header raises CheckpointError naming the file and the line.
+    """
     head, sep, _ = blob.partition(b"\nEND\n")
     if not sep:
         raise CheckpointError(f"{path}: missing END marker in header")
@@ -378,19 +441,32 @@ def load_checkpoint(path) -> tuple:
                 raise CheckpointError(f"{path}: parameter {name} has shape {shapes[name]}, config implies {shape}")
         raise CheckpointError(f"{path}: unexpected parameters {sorted(set(shapes) - set(expected))}")
 
-    payload = memoryview(blob)[len(head) + len(b"\nEND\n"):]
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    ends = list(itertools.accumulate(sizes))
+    return cfg, len(head) + len(sep), _payload_layout(shapes.items())
+
+
+def load_checkpoint(path) -> tuple:
+    """Read (constant weights, ModelConfig); malformed files raise CheckpointError.
+
+    A header in ``save_checkpoint``'s own form is checked against its
+    config's header, cached per config, in one comparison; any other
+    header is read line by line, with a message that names the file and
+    the line.  Then the payload's size and finiteness are checked, and the
+    parameters become views of one native array.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    cfg, offset, (names, shapes, sizes, ends) = _read_saved_header(blob) or _read_header(path, blob)
+    payload = memoryview(blob)[offset:]
     if len(payload) != ends[-1] * 8:
         raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {ends[-1] * 8}")
 
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # one native array; parameters are views of it
     finite = np.isfinite(flat)
     if not finite.all():
-        name = list(shapes)[bisect.bisect_right(ends, int(np.argmin(finite)))]
+        name = names[bisect.bisect_right(ends, int(np.argmin(finite)))]
         raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
     with ad.scope(deferred=True):  # checked above, in one pass
         return {
             name: Tensor(flat[end - size:end].reshape(shape))
-            for (name, shape), size, end in zip(shapes.items(), sizes, ends)
+            for name, shape, size, end in zip(names, shapes, sizes, ends)
         }, cfg

@@ -1,9 +1,13 @@
 """Shared fixtures and oracles.
 
 Small deterministic scenes, one session-wide overfit run, the fused
-layers' PReLU oracle and the one finite-difference gradient checker.
+layers' PReLU oracle, the one finite-difference gradient checker and a
+disk that fills up on the first write.
 """
 
+import builtins
+import errno
+import io
 import time
 from types import SimpleNamespace
 
@@ -62,6 +66,29 @@ def finite_diff_check_params(loss_fn, params) -> dict:
         rel = np.abs(analytic - central) / (np.abs(central) + 1e-8)
         errors[name] = float(rel.max()) if rel.size else 0.0
     return errors
+
+
+@pytest.fixture
+def fill_disk(monkeypatch):
+    """A function that makes every later ``open`` for writing succeed, then fail with ENOSPC.
+
+    The file opens (and truncates) for writing, as on a full disk; its
+    first write then finds no space.
+    """
+    real_open = io.open
+
+    def open_then_fill_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            fh.close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return fh
+
+    def fill():
+        monkeypatch.setattr(io, "open", open_then_fill_disk)
+        monkeypatch.setattr(builtins, "open", open_then_fill_disk)
+
+    return fill
 
 
 # Overfit recipe, frozen after a weight-seed robustness scan: seeds 0-4 all

@@ -1,5 +1,7 @@
 """Aggregation branches, prediction head, the grouped-pass runner, sampling, and checkpoints."""
 
+import errno
+import os
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -53,6 +55,24 @@ def gcn_operands(seed):
             Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True),
             Tensor(rng.normal(size=(5, 5)) * 0.5, requires_grad=True),
             Tensor(0.25, requires_grad=True)]
+
+
+def damaged_blobs(blob: bytes) -> list:
+    """Damaged copies of a saved checkpoint: truncations, bit flips, separator, sign and digit bytes, inf or nan.
+
+    Every header byte is damaged, and a sample of the payload's.
+    """
+    header = blob.index(b"\nEND\n") + len(b"\nEND\n")
+
+    def put(at, byte):
+        return blob[:at] + bytes([byte]) + blob[at + 1:]
+
+    cases = [blob[:n] for n in [*range(header + 16), *range(header + 16, len(blob), 64)]]
+    flips = (0x01, 0x10, 0x80, 0xFF)
+    cases += [put(at, blob[at] ^ flips[at % 4]) for at in [*range(header), *range(header, len(blob), 41)]]
+    cases += [put(at, b"\n =-09"[at % 6]) for at in range(header)]  # separators, signs and digits
+    cases += [blob[:at] + b"\xf0\x7f" + blob[at + 2:] for at in range(header + 6, len(blob), 1000)]  # inf or nan
+    return cases
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -533,6 +553,32 @@ class TestCheckpoint:
         mm.save_checkpoint(tmp_path / "m.ckpt", mm.init_weights(cfg, seed=9), cfg)
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
+    def test_full_disk_keeps_the_old_checkpoint(self, tmp_path, fill_disk):
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=9), cfg)
+        before = path.read_bytes()
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            mm.save_checkpoint(path, mm.init_weights(cfg, seed=10), cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_failed_rename_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=9), cfg)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="cross-device"):
+            mm.save_checkpoint(path, mm.init_weights(cfg, seed=10), cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_corrupted_version_line(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "m.ckpt"
@@ -662,17 +708,7 @@ class TestCheckpoint:
         cfg = small_cfg()
         path = tmp_path / "m.ckpt"
         mm.save_checkpoint(path, mm.init_weights(cfg, seed=15), cfg)
-        blob = path.read_bytes()
-        header = blob.index(b"\nEND\n") + len(b"\nEND\n")
-
-        def put(at, byte):
-            return blob[:at] + bytes([byte]) + blob[at + 1:]
-
-        cases = [blob[:n] for n in [*range(header + 16), *range(header + 16, len(blob), 64)]]
-        flips = (0x01, 0x10, 0x80, 0xFF)
-        cases += [put(at, blob[at] ^ flips[at % 4]) for at in [*range(header), *range(header, len(blob), 41)]]
-        cases += [put(at, b"\n =-09"[at % 6]) for at in range(header)]  # separators, signs and digits
-        cases += [blob[:at] + b"\xf0\x7f" + blob[at + 2:] for at in range(header + 6, len(blob), 1000)]  # inf or nan
+        cases = damaged_blobs(path.read_bytes())
         loaded = 0
         for damaged in cases:
             path.write_bytes(damaged)
@@ -683,6 +719,72 @@ class TestCheckpoint:
             else:
                 loaded += 1
         assert 0 < loaded < len(cases)
+
+    def test_saved_files_load_without_the_line_reader(self, tmp_path, monkeypatch):
+        # save_checkpoint's header and the one-comparison reader's cached header are one format
+        def line_reader(path, blob):
+            raise AssertionError(f"{path} was read line by line")
+
+        monkeypatch.setattr(mm, "_read_header", line_reader)
+        for cfg in (ModelConfig(), small_cfg()):  # both configs in one process, each through the cache
+            w = mm.init_weights(cfg, seed=18)
+            path = tmp_path / f"{cfg.t_obs}.ckpt"
+            mm.save_checkpoint(path, w, cfg)
+            for _ in range(2):
+                loaded, got = mm.load_checkpoint(path)
+                assert got == cfg
+                assert list(loaded) == sorted(w)
+                for name, tensor in loaded.items():
+                    assert tensor.data.tobytes() == w[name].data.tobytes(), name
+
+    def test_line_reader_agrees_on_damaged_blobs(self, tmp_path):
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=15), cfg)
+
+        def outcome():
+            try:
+                weights, got = mm.load_checkpoint(path)
+            except CheckpointError as err:
+                return str(err)
+            return repr(got), [(name, tensor.data.tobytes()) for name, tensor in weights.items()]
+
+        by_comparison = 0
+        for damaged in damaged_blobs(path.read_bytes()):
+            path.write_bytes(damaged)
+            by_comparison += mm._read_saved_header(damaged) is not None
+            as_is = outcome()
+            with mock.patch.object(mm, "_read_saved_header", return_value=None):
+                assert outcome() == as_is
+        assert by_comparison > 0  # payload flips and truncations keep the saved header
+
+    @pytest.mark.parametrize("rewrite", ["shuffled_manifest", "config_line_after_manifest", "xi_exponent"])
+    def test_non_canonical_header_loads_like_the_saved_one(self, tmp_path, rewrite):
+        cfg = small_cfg()
+        path = tmp_path / "m.ckpt"
+        mm.save_checkpoint(path, mm.init_weights(cfg, seed=19), cfg)
+        blob = path.read_bytes()
+        want, _ = mm.load_checkpoint(path)
+        head, end, payload = blob.partition(b"\nEND\n")
+        version, *lines = head.split(b"\n")
+        config, manifest = lines[:7], lines[7:]
+        if rewrite == "shuffled_manifest":
+            manifest = [manifest[i] for i in np.random.default_rng(0).permutation(len(manifest))]
+            # the payload follows the shape table's order
+            payload = b"".join(want[line.split()[1].decode()].data.tobytes() for line in manifest)
+        elif rewrite == "config_line_after_manifest":
+            manifest.append(config.pop(1))
+        else:
+            assert config[-1] == b"xi=0.5"
+            config[-1] = b"xi=5e-1"
+        rewritten = b"\n".join([version, *config, *manifest]) + end + payload
+        assert mm._read_saved_header(rewritten) is None  # read line by line
+        path.write_bytes(rewritten)
+        loaded, got = mm.load_checkpoint(path)
+        assert repr(got) == repr(cfg)
+        assert sorted(loaded) == sorted(want)
+        for name, tensor in loaded.items():
+            assert tensor.data.tobytes() == want[name].data.tobytes(), name
 
     def test_missing_end_marker(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -1,8 +1,5 @@
 """Loss, optimizer, schedule, and training-loop behavior."""
 
-import builtins
-import errno
-import io
 import math
 import platform
 import tracemalloc
@@ -412,25 +409,15 @@ class TestLossLog:
         text = path.read_text().splitlines()[1]
         assert float(text.split(",")[2]) == nll
 
-    def test_failed_rewrite_keeps_previous_log(self, tmp_path, monkeypatch):
+    def test_failed_rewrite_keeps_previous_log(self, tmp_path, fill_disk):
         path = tmp_path / "loss_log.csv"
         tr.write_loss_log([(0, 1, 1.5, 0.001)], path)
         before = path.read_bytes()
-        real_open = io.open
-
-        def open_then_fill_disk(file, mode="r", *args, **kwargs):
-            # the file opens (and truncates) for writing; its first write finds the disk full
-            fh = real_open(file, mode, *args, **kwargs)
-            if "w" in mode:
-                fh.close()
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return fh
-
-        monkeypatch.setattr(io, "open", open_then_fill_disk)
-        monkeypatch.setattr(builtins, "open", open_then_fill_disk)
+        fill_disk()
         with pytest.raises(OSError, match="No space left"):
             tr.write_loss_log([(0, 1, 1.5, 0.001), (0, 2, 0.75, 0.001)], path)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["loss_log.csv"]  # no .tmp left behind
 
 
 def test_training_respects_initial_weights():
