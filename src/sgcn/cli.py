@@ -175,29 +175,20 @@ def cmd_predict(run: RunConfig) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=8)
-def _row_pieces(t_obs: int, t_pred: int, k: int) -> tuple:
-    """One pedestrian's ``predictions.csv`` rows with ``%r`` cells, split where the id goes.
-
-    Joined by an id, each row starts with it.
-    """
-    rows = [f",obs,,{t},%r,%r,,," for t in range(t_obs)]
-    rows += [f",mu,,{t},%r,%r,%r,%r,%r" for t in range(t_pred)]
-    rows += [f",sample,{s},{t},%r,%r,,," for s in range(1, k + 1) for t in range(t_pred)]
-    return ("",) + tuple(row + "\n" for row in rows)
-
-
 def predictions_text(ids, obs, mu_path, params, samples) -> str:
     """``predictions.csv``: per pedestrian, obs steps, mu steps (with the Gaussian), then each sample's steps.
 
     ``obs`` is [T_obs, N, 2], ``mu_path`` [T_pred, N, 2] and ``samples``
-    [K, T_pred, N, 2].  One row template serves every pedestrian, built
-    once per (T_obs, T_pred, K) and cached: its id is spliced in, then one
-    ``%`` fills the ``%r`` cells from a ``tolist()`` of that pedestrian's
-    values, so each float reads as its ``repr``.
+    [K, T_pred, N, 2].  One row template serves every pedestrian: its id
+    is spliced in, then one ``%`` fills the ``%r`` cells from a
+    ``tolist()`` of that pedestrian's values, so each float reads as its
+    ``repr``.
     """
     k, t_pred, n, _ = samples.shape
-    pieces = _row_pieces(len(obs), t_pred, k)
+    rows = [f",obs,,{t},%r,%r,,," for t in range(len(obs))]
+    rows += [f",mu,,{t},%r,%r,%r,%r,%r" for t in range(t_pred)]
+    rows += [f",sample,{s},{t},%r,%r,,," for s in range(1, k + 1) for t in range(t_pred)]
+    pieces = [""] + [row + "\n" for row in rows]  # joined by an id, each row starts with it
     mu = np.concatenate([mu_path, params.sigma, params.rho[..., None]], axis=-1)  # x, y, sigma_x, sigma_y, rho
     parts = [obs.transpose(1, 0, 2), mu.transpose(1, 0, 2), samples.transpose(2, 0, 1, 3)]
     values = np.concatenate([part.reshape(n, -1) for part in parts], axis=1)  # one row per pedestrian

@@ -775,26 +775,6 @@ class TestPredictCommand:
                 samples.reshape(k, t_pred, n, 2))
         assert cli.predictions_text(*args) == per_scalar_predictions_text(*args)
 
-    def test_row_template_cache_serves_no_stale_template(self):
-        rng = np.random.default_rng(4)
-        ids, t_pred = (4, 9), 12
-        inputs = {}
-        for k in (0, 1, 20):
-            for t_obs in (4, 8):  # interleaved: each K's two templates differ only in T_obs
-                params = sgcn_model.BiGaussianParams(rng.normal(size=(t_pred, 2, 2)),
-                                                     rng.uniform(0.1, 2.0, (t_pred, 2, 2)), rng.uniform(-1, 1, (t_pred, 2)))
-                inputs[t_obs, k] = (ids, rng.normal(size=(t_obs, 2, 2)), rng.normal(size=(t_pred, 2, 2)), params,
-                                    rng.normal(size=(k, t_pred, 2, 2)))
-        fresh = {}
-        for key, args in inputs.items():
-            cli._row_pieces.cache_clear()
-            fresh[key] = cli.predictions_text(*args)
-        cli._row_pieces.cache_clear()
-        order = list(inputs)
-        for key in order + order[::-1] + order:
-            assert cli.predictions_text(*inputs[key]) == fresh[key], key
-        assert cli._row_pieces.cache_info().hits == 2 * len(order)
-
     @given(st.integers(1, 9), st.integers(1, 13), st.integers(0, 25), ID_LISTS, st.integers(0, 2**32 - 1))
     @example(8, 12, 2, list(range(sgcn_model.GROUP_PEDESTRIANS + 2)), 5)  # a window above the group cap
     @settings(max_examples=12, deadline=None)

@@ -720,43 +720,50 @@ class TestCheckpoint:
                 loaded += 1
         assert 0 < loaded < len(cases)
 
-    def test_saved_files_load_without_the_line_reader(self, tmp_path, monkeypatch):
-        # save_checkpoint's header and the one-comparison reader's cached header are one format
-        def line_reader(path, blob):
+    def test_a_header_read_before_is_not_parsed_again(self, tmp_path, monkeypatch):
+        paths = {}
+        for cfg in (ModelConfig(), small_cfg()):  # both headers kept in one process
+            paths[cfg] = tmp_path / f"{cfg.t_obs}.ckpt"
+            mm.save_checkpoint(paths[cfg], mm.init_weights(cfg, seed=18), cfg)
+            mm.load_checkpoint(paths[cfg])
+
+        def line_reader(path, head):
             raise AssertionError(f"{path} was read line by line")
 
         monkeypatch.setattr(mm, "_read_header", line_reader)
-        for cfg in (ModelConfig(), small_cfg()):  # both configs in one process, each through the cache
-            w = mm.init_weights(cfg, seed=18)
-            path = tmp_path / f"{cfg.t_obs}.ckpt"
+        for cfg, path in paths.items():
+            w = mm.init_weights(cfg, seed=19)  # new weights behind the same header
             mm.save_checkpoint(path, w, cfg)
-            for _ in range(2):
-                loaded, got = mm.load_checkpoint(path)
-                assert got == cfg
-                assert list(loaded) == sorted(w)
-                for name, tensor in loaded.items():
-                    assert tensor.data.tobytes() == w[name].data.tobytes(), name
+            loaded, got = mm.load_checkpoint(path)
+            assert got == cfg
+            assert list(loaded) == sorted(w)
+            for name, tensor in loaded.items():
+                assert tensor.data.tobytes() == w[name].data.tobytes(), name
 
-    def test_line_reader_agrees_on_damaged_blobs(self, tmp_path):
+    def test_kept_header_changes_no_outcome_on_damaged_blobs(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "m.ckpt"
         mm.save_checkpoint(path, mm.init_weights(cfg, seed=15), cfg)
+        blob = path.read_bytes()
+        with mock.patch.dict(mm._headers, clear=True):
+            mm.load_checkpoint(path)
+            kept = dict(mm._headers)
+        [head] = kept
 
-        def outcome():
-            try:
-                weights, got = mm.load_checkpoint(path)
-            except CheckpointError as err:
-                return str(err)
-            return repr(got), [(name, tensor.data.tobytes()) for name, tensor in weights.items()]
+        def outcome(headers):
+            with mock.patch.dict(mm._headers, headers, clear=True):
+                try:
+                    weights, got = mm.load_checkpoint(path)
+                except CheckpointError as err:
+                    return str(err)
+                return repr(got), [(name, tensor.data.tobytes()) for name, tensor in weights.items()]
 
-        by_comparison = 0
-        for damaged in damaged_blobs(path.read_bytes()):
+        hits = 0
+        for damaged in damaged_blobs(blob):
             path.write_bytes(damaged)
-            by_comparison += mm._read_saved_header(damaged) is not None
-            as_is = outcome()
-            with mock.patch.object(mm, "_read_saved_header", return_value=None):
-                assert outcome() == as_is
-        assert by_comparison > 0  # payload flips and truncations keep the saved header
+            hits += damaged.startswith(head + b"\nEND\n")
+            assert outcome(kept) == outcome({})
+        assert hits > 0  # payload flips and truncations keep the saved header
 
     @pytest.mark.parametrize("rewrite", ["shuffled_manifest", "config_line_after_manifest", "xi_exponent"])
     def test_non_canonical_header_loads_like_the_saved_one(self, tmp_path, rewrite):
@@ -777,9 +784,7 @@ class TestCheckpoint:
         else:
             assert config[-1] == b"xi=0.5"
             config[-1] = b"xi=5e-1"
-        rewritten = b"\n".join([version, *config, *manifest]) + end + payload
-        assert mm._read_saved_header(rewritten) is None  # read line by line
-        path.write_bytes(rewritten)
+        path.write_bytes(b"\n".join([version, *config, *manifest]) + end + payload)
         loaded, got = mm.load_checkpoint(path)
         assert repr(got) == repr(cfg)
         assert sorted(loaded) == sorted(want)
