@@ -12,9 +12,7 @@ grouped passes (``map_groups``), sampling, and the checkpoint format.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
-import itertools
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -100,6 +98,25 @@ def _layout(cfg: ModelConfig) -> list:
         slope(f"tcn_slope{layer}")
     linear("out_proj", d, 5)
     return layout
+
+
+def _layout_mismatch(shapes: dict, cfg: ModelConfig, source: str) -> str | None:
+    """The first way ``shapes`` (name -> shape, read from ``source``) differs from ``_layout(cfg)``, or None."""
+    expected = {name: shape for name, shape, _ in _layout(cfg)}
+    if shapes == expected:
+        return None
+    for name, shape in sorted(expected.items()):
+        if name not in shapes:
+            return f"parameter {name} missing from {source}"
+        if shapes[name] != shape:
+            return f"parameter {name} has shape {shapes[name]}, config implies {shape}"
+    return f"unexpected parameters {sorted(set(shapes) - set(expected))}"
+
+
+def _views(flat: np.ndarray, table) -> dict:
+    """name -> view of ``flat`` per (name, shape) of ``table``, back to back: the one owner of parameter offsets."""
+    end = 0  # each slice starts where the one before it ended
+    return {name: flat[end:(end := end + math.prod(shape))].reshape(shape) for name, shape in table}
 
 
 def init_weights(cfg: ModelConfig, seed: int = 0) -> dict:
@@ -341,11 +358,13 @@ def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
 
 
 def _read_header(path, head: bytes) -> tuple:
-    """(ModelConfig, names, shapes, sizes, ends) of the header ``head``, the bytes before END, read line by line.
+    """(ModelConfig, table, total) of the header ``head``, the bytes before END, read line by line.
 
-    The parameters are stored back to back in shape-table order; sizes and
-    ends count float64 values.  A malformed header raises CheckpointError
-    naming the file and the line.
+    The table lists (name, shape) in file order, the order in which the
+    parameters are stored back to back; total counts their float64 values.
+    A malformed header raises CheckpointError naming the file and the line;
+    a shape table that differs from the config's layout raises one naming
+    the file and the first difference ``_layout_mismatch`` finds.
     """
     header_lines = head.decode(errors="replace").split("\n")  # never empty; splitlines would also break at \x0c, \x1c, ...
     magic = header_lines[0].split()
@@ -384,17 +403,9 @@ def _read_header(path, head: bytes) -> tuple:
     except ConfigError as err:
         raise CheckpointError(f"{path}: bad config header: {err}") from None
 
-    expected = {name: shape for name, shape, _ in _layout(cfg)}
-    if shapes != expected:
-        for name, shape in sorted(expected.items()):
-            if name not in shapes:
-                raise CheckpointError(f"{path}: parameter {name} missing from shape table")
-            if shapes[name] != shape:
-                raise CheckpointError(f"{path}: parameter {name} has shape {shapes[name]}, config implies {shape}")
-        raise CheckpointError(f"{path}: unexpected parameters {sorted(set(shapes) - set(expected))}")
-
-    sizes = tuple(math.prod(shape) for shape in shapes.values())
-    return cfg, tuple(shapes), tuple(shapes.values()), sizes, tuple(itertools.accumulate(sizes))
+    if mismatch := _layout_mismatch(shapes, cfg, "shape table"):
+        raise CheckpointError(f"{path}: {mismatch}")
+    return cfg, tuple(shapes.items()), sum(math.prod(shape) for shape in shapes.values())
 
 
 _headers: dict = {}  # header bytes -> _read_header's result, for the last few headers read; failures are not kept
@@ -408,8 +419,10 @@ def load_checkpoint(path) -> tuple:
     byte for byte, comes from a cache of the last 8 instead, so only
     repeated reads in one process (the benchmark's predict probe) skip
     the parse: one ``sgcn predict`` reads its header once.  Then the
-    payload's size and finiteness are checked, and the parameters become
-    views of one native array.
+    payload's size and finiteness are checked; a non-finite value names
+    the first parameter in the file's table order that holds one.  The
+    parameters become views of one native array, cut by ``_views`` over
+    the file's own table, so a reordered shape table loads in its order.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -422,18 +435,15 @@ def load_checkpoint(path) -> tuple:
         if len(_headers) == 8:
             del _headers[next(iter(_headers))]  # the oldest
         _headers[head] = read
-    cfg, names, shapes, sizes, ends = _headers[head]
+    cfg, table, total = _headers[head]
     payload = memoryview(blob)[split + len(b"\nEND\n"):]
-    if len(payload) != ends[-1] * 8:
-        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {ends[-1] * 8}")
+    if len(payload) != total * 8:
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {total * 8}")
 
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # one native array; parameters are views of it
     finite = np.isfinite(flat)
     if not finite.all():
-        name = names[bisect.bisect_right(ends, int(np.argmin(finite)))]
+        name = next(name for name, ok in _views(finite, table).items() if not ok.all())
         raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
     with ad.scope(deferred=True):  # checked above, in one pass
-        return {
-            name: Tensor(flat[end - size:end].reshape(shape))
-            for name, shape, size, end in zip(names, shapes, sizes, ends)
-        }, cfg
+        return {name: Tensor(view) for name, view in _views(flat, table).items()}, cfg

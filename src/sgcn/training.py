@@ -22,7 +22,8 @@ from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
 from .data import future_displacements
 from .errors import ConfigError
-from .model import forward, gaussian_terms, init_weights, map_groups, save_checkpoint, write_atomically
+from .model import (_layout_mismatch, _views, forward, gaussian_terms, init_weights, map_groups, save_checkpoint,
+                    write_atomically)
 
 logger = logging.getLogger(__name__)
 
@@ -61,20 +62,20 @@ class Adam:
 
     The arrays follow sorted-name order, the checkpoint payload's order.  Each
     parameter is marked trainable, and its ``data`` and ``grad`` become views
-    into them, which ``backward`` adds into in place.  A parameter backward
-    never reaches keeps a zero gradient and moments, so it moves by exactly 0.
+    into them, which ``backward`` adds into in place; ``model._views``, the
+    one owner of parameter offsets, cuts them.  A parameter backward never
+    reaches keeps a zero gradient and moments, so it moves by exactly 0.
     Setting a parameter's ``grad`` to None detaches it from ``grad``.
     """
 
     def __init__(self, weights: dict):
-        params = [weights[name] for name in sorted(weights)]
-        self.data = np.concatenate([p.data.ravel() for p in params])
+        table = [(name, weights[name].shape) for name in sorted(weights)]
+        self.data = np.concatenate([weights[name].data.ravel() for name, _ in table])
         self.grad, self.m, self.v = (np.zeros_like(self.data) for _ in range(3))
         self.step_count = 0
-        bounds = np.cumsum([p.data.size for p in params])[:-1]
-        for p, data, grad in zip(params, np.split(self.data, bounds), np.split(self.grad, bounds)):
-            p.data, p.grad = data.reshape(p.shape), grad.reshape(p.shape)
-            p.requires_grad = True
+        for (name, data), grad in zip(_views(self.data, table).items(), _views(self.grad, table).values()):
+            p = weights[name]
+            p.data, p.grad, p.requires_grad = data, grad, True
 
     def step(self, lr: float, grad_scale: float = 1.0) -> None:
         """One update from ``grad * grad_scale``; then zeroes ``grad``.
@@ -155,6 +156,9 @@ def train(
     NumericsError names the window that fails alone
     (``model.map_groups``); windows rerun before it also run
     ``backward``, which is harmless, as the run aborts.
+    Given weights that do not fit ``model_cfg`` (a parameter missing,
+    extra or of another shape, as ``model._layout_mismatch`` finds) raise
+    ConfigError before the first step, so nothing is written.
     The first call sets glibc to keep freed memory for the rest of the
     process (``_keep_freed_memory``), so later groups reuse the freed
     tapes of earlier ones; with another C library it changes nothing.
@@ -164,6 +168,8 @@ def train(
     _keep_freed_memory()
     if weights is None:
         weights = init_weights(model_cfg, seed=train_cfg.seed)
+    elif mismatch := _layout_mismatch({name: w.shape for name, w in weights.items()}, model_cfg, "weights"):
+        raise ConfigError(f"weights do not fit the model config: {mismatch}")
     optimizer = Adam(weights)  # loaded checkpoints hold constants: Adam marks them trainable
     order_rng = np.random.default_rng(train_cfg.seed)
     rows = []

@@ -790,6 +790,17 @@ class TestCheckpoint:
         assert sorted(loaded) == sorted(want)
         for name, tensor in loaded.items():
             assert tensor.data.tobytes() == want[name].data.tobytes(), name
+        if rewrite == "shuffled_manifest":  # the first non-finite parameter is named in the file's order
+            order = [line.split()[1].decode() for line in manifest]
+            first, later = order[len(order) // 2], min(order[len(order) // 2 + 1:])
+            assert later < first  # stored after `first`, sorted before it
+            want[first].data.reshape(-1)[-1] = np.nan  # its last value: the next parameter's neighbour
+            want[later].data.reshape(-1)[0] = np.inf
+            payload = b"".join(want[name].data.tobytes() for name in order)
+            path.write_bytes(b"\n".join([version, *config, *manifest]) + end + payload)
+            with pytest.raises(CheckpointError) as info:
+                mm.load_checkpoint(path)
+            assert str(info.value) == f"{path}: parameter {first} holds non-finite values"
 
     def test_missing_end_marker(self, tmp_path):
         path = tmp_path / "m.ckpt"

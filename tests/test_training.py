@@ -3,6 +3,7 @@
 import math
 import platform
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +305,27 @@ class TestTrainLoop:
         assert any(not np.array_equal(resumed[name].data, before[name]) for name in before)
         for name in before:
             assert np.array_equal(resumed[name].data, want[name].data), name
+
+    @pytest.mark.parametrize("case", ["extra_layer", "missing", "mis_shaped"])
+    def test_weights_that_do_not_fit_the_config_are_refused(self, tmp_path, case):
+        message = {
+            "extra_layer": r"unexpected parameters \['spa_conv2_col_b', 'spa_conv2_col_k', ",
+            "missing": r"parameter spa_conv1_row_b missing from weights$",
+            "mis_shaped": r"parameter out_proj_w has shape \(16, 7\), config implies \(16, 5\)$",
+        }[case]
+        if case == "extra_layer":
+            weights = init_weights(replace(SMALL_CFG, conv_layers=3), seed=0)
+        else:
+            weights = init_weights(SMALL_CFG, seed=0)
+            if case == "missing":
+                del weights["spa_conv1_row_b"]
+            else:
+                weights["out_proj_w"] = Tensor(np.zeros((16, 7)))
+        ckpt, log = tmp_path / "w.ckpt", tmp_path / "loss_log.csv"
+        with pytest.raises(ConfigError, match="^weights do not fit the model config: " + message):
+            tr.train(small_scenes(), SMALL_CFG, TrainConfig(epochs=1, batch_size=2), weights=weights,
+                     checkpoint_path=ckpt, loss_log_path=log)
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerics_error_names_scene(self):
         scene = small_scenes()[0]
