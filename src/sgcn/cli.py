@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .config import ModelConfig, RunConfig, TrainConfig, read_config_file, write_config_file
+from .config import ModelConfig, RunConfig, TrainConfig, read_config_file, write_atomically, write_config_file
 from .data import holdout_table, last_observation, load_dataset, load_scene_file, training_windows, window_scenes
 from .errors import ConfigError, SgcnError
 from .evaluation import evaluate_best_of_k, write_metrics_csv, write_summary
@@ -169,8 +169,8 @@ def cmd_predict(run: RunConfig) -> int:
     last = scene.positions_obs[-1]
     samples = sample_trajectory(params, last, np.random.default_rng(run.seed), run.num_samples)
     path = out / "predictions.csv"
-    path.write_text(predictions_text(scene.pedestrian_ids, scene.positions_obs, mu_trajectory(params, last),
-                                     params, samples))
+    write_atomically(path, predictions_text(scene.pedestrian_ids, scene.positions_obs,
+                                            mu_trajectory(params, last), params, samples).encode())
     print(f"predictions: {path} ({scene.n_pedestrians} pedestrians, {run.num_samples} samples)")
     return 0
 
@@ -216,7 +216,7 @@ def cmd_dump_graphs(run: RunConfig) -> int:
         lines.append(f"# temporal pedestrian {pid}")
         lines.extend(matrix_lines(temporal.normalized.data[ni]))
     path = out / "graphs.txt"
-    path.write_text("\n".join(lines) + "\n")
+    write_atomically(path, ("\n".join(lines) + "\n").encode())
     print(f"graphs: {path}")
     return 0
 

@@ -1,7 +1,9 @@
-"""Dataclass configs for the model and the training/evaluation protocol."""
+"""Dataclass configs for the model and the training/evaluation protocol, and the one artifact writer."""
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -50,9 +52,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "lr_decay_interval"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("lr_decay_interval", 1), ("seed", 0)):  # numpy seeds are >= 0
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.lr < float("inf"):  # also False for nan
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
@@ -91,10 +93,28 @@ def read_config_file(path) -> dict:
     return result
 
 
+def write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``: the one writer of every artifact.
+
+    Callers pass text as ``str.encode()``: UTF-8 with ``\\n`` line ends on every platform and locale.
+    A failed write or rename keeps the old file, removes the ``.tmp`` and
+    raises the original error.
+    """
+    tmp = str(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's or rename's error is the one to report
+            os.remove(tmp)
+        raise
+
+
 def write_config_file(path, values: dict) -> None:
-    """Echo a resolved configuration as sorted key=value lines."""
+    """Echo a resolved configuration as sorted key=value lines, through ``write_atomically``."""
     lines = [f"{k}={values[k]}" for k in sorted(values)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomically(path, ("\n".join(lines) + "\n").encode())
 
 
 @dataclass
@@ -115,8 +135,7 @@ class RunConfig:
     scene_file: str = ""
 
     def __post_init__(self):
-        if self.seed < 0:  # numpy's generators take only non-negative seeds
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        TrainConfig(seed=self.seed)  # TrainConfig states the seed rule; check it before any command reads a file
         if self.xi is not None:  # ModelConfig states xi's range; check it before any command reads a file
             ModelConfig(xi=self.xi)
         for key, value in self.as_dict().items():  # refuse what resolved.cfg could not carry back unchanged

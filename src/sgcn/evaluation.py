@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, scope
-from .config import ModelConfig
+from .config import ModelConfig, TrainConfig, write_atomically
 from .errors import ConfigError
 from .model import map_groups, mu_trajectory, predict, sample_trajectory
 
@@ -88,6 +87,7 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    TrainConfig(seed=seed)  # TrainConfig states the seed rule
     start = time.monotonic()
     children = np.random.SeedSequence(seed).spawn(len(scenes))
 
@@ -137,17 +137,17 @@ def mu_path_metrics(weights, cfg: ModelConfig, scenes) -> tuple:
 
 
 def write_metrics_csv(report: MetricsReport, path) -> None:
-    """Deterministic CSV: overall row plus one row per scene (no timestamps)."""
+    """Deterministic CSV: overall row plus one row per scene (no timestamps), through ``write_atomically``."""
     lines = ["scope,ade,fde,pedestrians"]
     lines.append(f"overall,{report.ade!r},{report.fde!r},{report.n_pedestrians}")
     for name in sorted(report.per_scene):
         a, f, count = report.per_scene[name]
         lines.append(f"{name},{float(a)!r},{float(f)!r},{count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomically(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_summary(report: MetricsReport, path) -> None:
-    """Human-readable summary; the only metrics artifact carrying wall clock."""
+    """Human-readable summary, through ``write_atomically``; the only metrics artifact carrying wall clock."""
     lines = [
         f"windows evaluated: {report.n_scenes}",
         f"pedestrians evaluated: {report.n_pedestrians}",
@@ -157,4 +157,4 @@ def write_summary(report: MetricsReport, path) -> None:
         f"FDE: {report.fde:.4f} m",
         f"wall clock: {report.wall_clock_s:.2f} s",
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomically(path, ("\n".join(lines) + "\n").encode())

@@ -12,9 +12,7 @@ grouped passes (``map_groups``), sampling, and the checkpoint format.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
@@ -22,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ModelConfig
+from .config import ModelConfig, write_atomically
 from .data import reconstruct_positions
 from .errors import CheckpointError, ConfigError, NumericsError, ShapeError
 from .graphs import build_spatial_graph, build_temporal_graph, pedestrian_major, step_major
@@ -319,23 +317,6 @@ def mu_trajectory(params: BiGaussianParams, last_observed: np.ndarray) -> np.nda
 
 # ---------------------------------------------------------------------------
 # checkpoint format: text header (version, config, shape table) + raw payload
-
-
-def write_atomically(path, data: bytes) -> None:
-    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``.
-
-    A failed write or rename keeps the old file, removes the ``.tmp`` and
-    raises the original error.
-    """
-    tmp = str(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):  # the write's or rename's error is the one to report
-            os.remove(tmp)
-        raise
 
 
 def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:

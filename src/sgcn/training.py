@@ -19,11 +19,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ModelConfig, TrainConfig
+from .config import ModelConfig, TrainConfig, write_atomically
 from .data import future_displacements
 from .errors import ConfigError
-from .model import (_layout_mismatch, _views, forward, gaussian_terms, init_weights, map_groups, save_checkpoint,
-                    write_atomically)
+from .model import _layout_mismatch, _views, forward, gaussian_terms, init_weights, map_groups, save_checkpoint
 
 logger = logging.getLogger(__name__)
 

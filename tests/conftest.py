@@ -70,21 +70,22 @@ def finite_diff_check_params(loss_fn, params) -> dict:
 
 @pytest.fixture
 def fill_disk(monkeypatch):
-    """A function that makes every later ``open`` for writing succeed, then fail with ENOSPC.
+    """A function ``fill(name="")`` after which every ``open`` for writing a path that holds ``name`` fails.
 
     The file opens (and truncates) for writing, as on a full disk; its
-    first write then finds no space.
+    first write then finds no space (ENOSPC).  Opens of other paths, and
+    every open for reading, work as before.
     """
     real_open = io.open
 
-    def open_then_fill_disk(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        if "w" in mode:
-            fh.close()
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return fh
+    def fill(name=""):
+        def open_then_fill_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and name in str(file):
+                fh.close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return fh
 
-    def fill():
         monkeypatch.setattr(io, "open", open_then_fill_disk)
         monkeypatch.setattr(builtins, "open", open_then_fill_disk)
 

@@ -22,7 +22,7 @@ from sgcn import model as sgcn_model
 from sgcn import synthetic
 from sgcn import training as tr
 from sgcn.autodiff import Tensor
-from sgcn.config import ModelConfig, RunConfig, TrainConfig, read_config_file
+from sgcn.config import ModelConfig, RunConfig, TrainConfig, read_config_file, write_config_file
 from sgcn.model import init_weights, load_checkpoint, save_checkpoint
 
 from conftest import fixture_positions, write_trajectory_file
@@ -875,6 +875,61 @@ class TestDumpGraphsCommand:
         _, spatial, temporal = sgcn_model.forward(scene.displacements_obs, weights, cfg)
         expected = per_scalar_graphs_text(ids, spatial.normalized.data, temporal.normalized.data)
         assert (tmp_path / "o" / "graphs.txt").read_text() == expected
+
+
+def metrics_report(ade):
+    return ev.MetricsReport(ade=ade, fde=2 * ade, n_pedestrians=3, n_scenes=1, k=20, seed=0,
+                            per_scene={"ZARA2": (ade, 2 * ade, 3)})
+
+
+def run_command(command, run, path, version):
+    """``command`` on the overfit checkpoint and the first fixture scene, writing into ``path``'s directory."""
+    cli._COMMANDS[command](RunConfig(command=command, checkpoint=str(run.checkpoint), num_samples=2, seed=version,
+                                     scene_file=str(run.data_root / "fix1.txt"), out=str(path.parent)))
+
+
+# artifact -> write(path, overfit_run, version): every artifact writer of the package, library and CLI
+ARTIFACT_WRITERS = {
+    "checkpoint.ckpt": lambda path, run, v: save_checkpoint(path, init_weights(run.model_cfg, seed=v), run.model_cfg),
+    "loss_log.csv": lambda path, run, v: tr.write_loss_log(run.rows[: v + 1], path),
+    "metrics.csv": lambda path, run, v: ev.write_metrics_csv(metrics_report(0.5 + v), path),
+    "summary.txt": lambda path, run, v: ev.write_summary(metrics_report(0.5 + v), path),
+    "resolved.cfg": lambda path, run, v: write_config_file(path, RunConfig(seed=v).as_dict()),
+    "predictions.csv": lambda path, run, v: run_command("predict", run, path, v),
+    "graphs.txt": lambda path, run, v: run_command("dump-graphs", run, path, v),
+}
+
+
+class TestArtifactWriters:
+    @pytest.mark.parametrize("artifact", sorted(ARTIFACT_WRITERS))
+    def test_full_disk_keeps_the_previous_artifact(self, artifact, overfit_run, tmp_path, fill_disk):
+        write = ARTIFACT_WRITERS[artifact]
+        path = tmp_path / artifact
+        write(path, overfit_run, 0)
+        before = path.read_bytes()
+        assert before
+        fill_disk(artifact)  # predict and dump-graphs write resolved.cfg first: only the artifact's opens fail
+        with pytest.raises(OSError, match="No space left"):
+            write(path, overfit_run, 1)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_bytes_do_not_depend_on_the_locale(self, tmp_path):
+        # an ASCII locale without UTF-8 mode: a platform-encoded write of the scene name would fail
+        path = tmp_path / "metrics.csv"
+        code = ("import sys\n"
+                "from sgcn import evaluation as ev\n"
+                "report = ev.MetricsReport(ade=0.5, fde=1.0, n_pedestrians=3, n_scenes=1, k=20, seed=0,\n"
+                "                          per_scene={'Z\\u00dcRICH': (0.5, 1.0, 3)})\n"
+                "ev.write_metrics_csv(report, sys.argv[1])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(sgcn.__file__).resolve().parent.parent),
+                   PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        result = subprocess.run([sys.executable, "-c", code, str(path)],
+                                capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 0, result.stderr
+        data = path.read_bytes()
+        assert "Z\u00dcRICH".encode("utf-8") in data
+        assert b"\r" not in data
 
 
 def test_console_script_entry_point(tmp_path):

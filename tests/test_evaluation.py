@@ -313,6 +313,11 @@ class TestBestOfK:
         with pytest.raises(ConfigError, match="at least one scene"):
             ev.mu_path_metrics(weights, SMALL_CFG, [])
 
+    def test_negative_seed_rejected(self):
+        # refused next to the k check, before numpy's generators see it
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            ev.evaluate_best_of_k(init_weights(SMALL_CFG, seed=0), SMALL_CFG, random_scenes(), k=2, seed=-1)
+
 
 class TestMuPath:
     def test_zero_head_predicts_hold_position(self):

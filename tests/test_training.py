@@ -253,6 +253,11 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="at least one scene"):
             tr.train([], SMALL_CFG, TrainConfig(epochs=1))
 
+    def test_negative_seed_rejected_before_training(self):
+        # TrainConfig states the seed rule, so train never reaches numpy's bare ValueError
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            tr.train(small_scenes(), SMALL_CFG, TrainConfig(epochs=1, seed=-1))
+
     def test_full_sparsity_threshold_still_runs(self):
         # xi=1 prunes every learned edge; the forced self-loops must keep
         # the graphs (and the loss) usable
@@ -430,16 +435,6 @@ class TestLossLog:
         tr.write_loss_log([(0, 1, nll, 1e-3)], path)
         text = path.read_text().splitlines()[1]
         assert float(text.split(",")[2]) == nll
-
-    def test_failed_rewrite_keeps_previous_log(self, tmp_path, fill_disk):
-        path = tmp_path / "loss_log.csv"
-        tr.write_loss_log([(0, 1, 1.5, 0.001)], path)
-        before = path.read_bytes()
-        fill_disk()
-        with pytest.raises(OSError, match="No space left"):
-            tr.write_loss_log([(0, 1, 1.5, 0.001), (0, 2, 0.75, 0.001)], path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["loss_log.csv"]  # no .tmp left behind
 
 
 def test_training_respects_initial_weights():
