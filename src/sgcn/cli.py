@@ -5,7 +5,7 @@ Configuration precedence, lowest to highest: built-in defaults, the
 ``--config`` key=value file, then the command-line flags.  Every run
 loads and checks its inputs, then echoes its fully resolved configuration
 (with the xi it used) into the output directory so a later ``--config
-resolved.cfg`` reproduces it.
+resolved.cfg`` reproduces it: after the artifacts, except in ``train``.
 """
 
 from __future__ import annotations
@@ -89,12 +89,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _prepare_out(run: RunConfig, cfg: ModelConfig) -> Path:
-    """Create the output directory; the echo carries the xi the run used."""
+def _prepare_out(run: RunConfig, cfg: ModelConfig) -> tuple:
+    """Create the output directory -> (its path, a call that writes ``resolved.cfg`` with the xi the run used).
+
+    ``train`` makes the call first, because it rewrites its checkpoint and loss log every epoch; the
+    other commands make it after their artifacts, so a failed write never pairs an old one with a new echo.
+    """
     out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_config_file(out / "resolved.cfg", replace(run, xi=cfg.xi).as_dict())
-    return out
+    return out, functools.partial(write_config_file, out / "resolved.cfg", replace(run, xi=cfg.xi).as_dict())
 
 
 def _require(value: str, what: str) -> str:
@@ -130,7 +133,8 @@ def cmd_train(run: RunConfig) -> int:
     scenes = training_windows(_load_tables(run), run.holdout, model_cfg.t_obs, model_cfg.t_pred)
     if not scenes:
         raise ConfigError(f"no scene other than the holdout {run.holdout!r} has a complete window to train on")
-    out = _prepare_out(run, model_cfg)
+    out, echo_config = _prepare_out(run, model_cfg)
+    echo_config()
     checkpoint = out / "checkpoint.ckpt"
     train(
         scenes,
@@ -151,9 +155,10 @@ def cmd_eval(run: RunConfig) -> int:
     if not scenes:
         raise ConfigError(f"the holdout {run.holdout!r} has no complete window to evaluate")
     report = evaluate_best_of_k(weights, cfg, scenes, k=run.num_samples, seed=run.seed)
-    out = _prepare_out(run, cfg)
-    write_metrics_csv(report, out / "metrics.csv")
+    out, echo_config = _prepare_out(run, cfg)
     write_summary(report, out / "summary.txt")
+    write_metrics_csv(report, out / "metrics.csv")
+    echo_config()
     print(f"ADE {report.ade:.4f} FDE {report.fde:.4f} "
           f"({report.n_pedestrians} pedestrians, {report.k} samples)")
     return 0
@@ -165,12 +170,13 @@ def cmd_predict(run: RunConfig) -> int:
     weights, cfg = _load_weights(run)
     scene = _load_scene_input(run, cfg.t_obs)
     [params] = map_groups(lambda _: [predict(scene.displacements_obs, weights, cfg)], [scene])
-    out = _prepare_out(run, cfg)
+    out, echo_config = _prepare_out(run, cfg)
     last = scene.positions_obs[-1]
     samples = sample_trajectory(params, last, np.random.default_rng(run.seed), run.num_samples)
     path = out / "predictions.csv"
     write_atomically(path, predictions_text(scene.pedestrian_ids, scene.positions_obs,
                                             mu_trajectory(params, last), params, samples).encode())
+    echo_config()
     print(f"predictions: {path} ({scene.n_pedestrians} pedestrians, {run.num_samples} samples)")
     return 0
 
@@ -202,7 +208,7 @@ def cmd_dump_graphs(run: RunConfig) -> int:
     weights, cfg = _load_weights(run)
     scene = _load_scene_input(run, cfg.t_obs)
     [(_, spatial, temporal)] = map_groups(lambda _: [forward(scene.displacements_obs, weights, cfg)], [scene])
-    out = _prepare_out(run, cfg)
+    out, echo_config = _prepare_out(run, cfg)
     ids = scene.pedestrian_ids
 
     def matrix_lines(m: np.ndarray):
@@ -217,6 +223,7 @@ def cmd_dump_graphs(run: RunConfig) -> int:
         lines.extend(matrix_lines(temporal.normalized.data[ni]))
     path = out / "graphs.txt"
     write_atomically(path, ("\n".join(lines) + "\n").encode())
+    echo_config()
     print(f"graphs: {path}")
     return 0
 

@@ -82,8 +82,8 @@ def evaluate_best_of_k(weights, cfg: ModelConfig, scenes, k: int = 20, seed: int
     """Best-of-K metrics over test scenes; deterministic for a given seed.
 
     ``jobs`` changes nothing: every pass runs on the caller's thread.  It
-    stays only because ``bench/run.py`` passes it; the bench half of
-    ROADMAP item 6 (b) deletes it.
+    stays only because ``bench/run.py`` passes it; ROADMAP item 6 deletes
+    it with its bench change.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")

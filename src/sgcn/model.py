@@ -12,6 +12,7 @@ grouped passes (``map_groups``), sampling, and the checkpoint format.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
@@ -338,26 +339,30 @@ def save_checkpoint(path, weights: dict, cfg: ModelConfig) -> None:
     write_atomically(path, b"".join([("\n".join(lines) + "\n").encode()] + payloads))
 
 
-def _read_header(path, head: bytes) -> tuple:
+@functools.lru_cache(maxsize=8)
+def _read_header(head: bytes) -> tuple:
     """(ModelConfig, table, total) of the header ``head``, the bytes before END, read line by line.
 
     The table lists (name, shape) in file order, the order in which the
     parameters are stored back to back; total counts their float64 values.
-    A malformed header raises CheckpointError naming the file and the line;
-    a shape table that differs from the config's layout raises one naming
-    the file and the first difference ``_layout_mismatch`` finds.
+    A malformed header raises CheckpointError naming the line, a shape table
+    that differs from the config's layout one naming the first difference
+    ``_layout_mismatch`` finds; the caller names the file.  The last 8
+    headers read are kept by their bytes, so only repeated reads in one
+    process (the benchmark's predict probe) skip the parse: one ``sgcn
+    predict`` reads its header once.  A header that raised is not kept.
     """
     header_lines = head.decode(errors="replace").split("\n")  # never empty; splitlines would also break at \x0c, \x1c, ...
     magic = header_lines[0].split()
     if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad version line {header_lines[0]!r}, expected '{CHECKPOINT_MAGIC} <version>'")
+        raise CheckpointError(f"bad version line {header_lines[0]!r}, expected '{CHECKPOINT_MAGIC} <version>'")
     if magic[1] != str(CHECKPOINT_VERSION):
-        raise CheckpointError(f"{path}: unsupported version {magic[1]!r} (supported: {CHECKPOINT_VERSION})")
+        raise CheckpointError(f"unsupported version {magic[1]!r} (supported: {CHECKPOINT_VERSION})")
 
     fields: dict = {}
     shapes: dict = {}
     for number, line in enumerate(header_lines[1:], start=2):
-        where = f"{path}: header line {number}"
+        where = f"header line {number}"
         key, eq, value = line.partition("=")
         if line.startswith("param "):
             try:
@@ -380,51 +385,41 @@ def _read_header(path, head: bytes) -> tuple:
     try:
         cfg = ModelConfig(**{key: fields[key] for key in _CONFIG_KINDS})
     except KeyError as err:
-        raise CheckpointError(f"{path}: header missing config field {err}") from None
+        raise CheckpointError(f"header missing config field {err}") from None
     except ConfigError as err:
-        raise CheckpointError(f"{path}: bad config header: {err}") from None
+        raise CheckpointError(f"bad config header: {err}") from None
 
     if mismatch := _layout_mismatch(shapes, cfg, "shape table"):
-        raise CheckpointError(f"{path}: {mismatch}")
+        raise CheckpointError(mismatch)
     return cfg, tuple(shapes.items()), sum(math.prod(shape) for shape in shapes.values())
 
 
-_headers: dict = {}  # header bytes -> _read_header's result, for the last few headers read; failures are not kept
-
-
 def load_checkpoint(path) -> tuple:
-    """Read (constant weights, ModelConfig); malformed files raise CheckpointError.
+    """Read (constant weights, ModelConfig); a malformed file raises a CheckpointError naming it.
 
-    The header is read line by line; a malformed one raises a message that
-    names the file and the line.  A header this process has read before,
-    byte for byte, comes from a cache of the last 8 instead, so only
-    repeated reads in one process (the benchmark's predict probe) skip
-    the parse: one ``sgcn predict`` reads its header once.  Then the
-    payload's size and finiteness are checked; a non-finite value names
-    the first parameter in the file's table order that holds one.  The
-    parameters become views of one native array, cut by ``_views`` over
-    the file's own table, so a reordered shape table loads in its order.
+    ``_read_header`` reads the header.  Then the payload's size and
+    finiteness are checked; a non-finite value names the first parameter in
+    the file's table order that holds one.  The parameters become views of
+    one native array, cut by ``_views`` over the file's own table, so a
+    reordered shape table loads in its order.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    split = blob.find(b"\nEND\n")  # find, not partition: the payload is not copied
-    if split < 0:
-        raise CheckpointError(f"{path}: missing END marker in header")
-    head = blob[:split]
-    if head not in _headers:
-        read = _read_header(path, head)
-        if len(_headers) == 8:
-            del _headers[next(iter(_headers))]  # the oldest
-        _headers[head] = read
-    cfg, table, total = _headers[head]
-    payload = memoryview(blob)[split + len(b"\nEND\n"):]
-    if len(payload) != total * 8:
-        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, shape table implies {total * 8}")
+    try:
+        split = blob.find(b"\nEND\n")  # find, not partition: the payload is not copied
+        if split < 0:
+            raise CheckpointError("missing END marker in header")
+        cfg, table, total = _read_header(blob[:split])
+        payload = memoryview(blob)[split + len(b"\nEND\n"):]
+        if len(payload) != total * 8:
+            raise CheckpointError(f"payload holds {len(payload)} bytes, shape table implies {total * 8}")
 
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # one native array; parameters are views of it
-    finite = np.isfinite(flat)
-    if not finite.all():
-        name = next(name for name, ok in _views(finite, table).items() if not ok.all())
-        raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
+        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # one native array; parameters are views of it
+        finite = np.isfinite(flat)
+        if not finite.all():
+            name = next(name for name, ok in _views(finite, table).items() if not ok.all())
+            raise CheckpointError(f"parameter {name} holds non-finite values")
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}") from None
     with ad.scope(deferred=True):  # checked above, in one pass
         return {name: Tensor(view) for name, view in _views(flat, table).items()}, cfg

@@ -883,8 +883,12 @@ def metrics_report(ade):
 
 
 def run_command(command, run, path, version):
-    """``command`` on the overfit checkpoint and the first fixture scene, writing into ``path``'s directory."""
+    """``command`` on the overfit checkpoint and the first fixture scene, writing into ``path``'s directory.
+
+    The scene is both ``--scene-file`` (predict, dump-graphs) and ``--holdout`` (eval).
+    """
     cli._COMMANDS[command](RunConfig(command=command, checkpoint=str(run.checkpoint), num_samples=2, seed=version,
+                                     data_root=str(run.data_root), holdout="FIX1",
                                      scene_file=str(run.data_root / "fix1.txt"), out=str(path.parent)))
 
 
@@ -908,11 +912,23 @@ class TestArtifactWriters:
         write(path, overfit_run, 0)
         before = path.read_bytes()
         assert before
-        fill_disk(artifact)  # predict and dump-graphs write resolved.cfg first: only the artifact's opens fail
+        fill_disk(artifact)  # only the artifact's opens fail; predict and dump-graphs stop there, before resolved.cfg
         with pytest.raises(OSError, match="No space left"):
             write(path, overfit_run, 1)
         assert path.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("predict", "predictions.csv"), ("dump-graphs", "graphs.txt"), ("eval", "metrics.csv"),
+    ])
+    def test_failed_write_keeps_the_echo_of_the_artifact_beside_it(self, command, artifact, overfit_run, tmp_path,
+                                                                   fill_disk):
+        run_command(command, overfit_run, tmp_path / artifact, 0)
+        before = {name: (tmp_path / name).read_bytes() for name in (artifact, "resolved.cfg")}
+        fill_disk(artifact)
+        with pytest.raises(OSError, match="No space left"):
+            run_command(command, overfit_run, tmp_path / artifact, 1)
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before  # --config resolved.cfg remakes it
 
     def test_bytes_do_not_depend_on_the_locale(self, tmp_path):
         # an ASCII locale without UTF-8 mode: a platform-encoded write of the scene name would fail

@@ -709,17 +709,22 @@ class TestCheckpoint:
                 loaded += 1
         assert 0 < loaded < len(cases)
 
-    def test_a_header_read_before_is_not_parsed_again(self, tmp_path, monkeypatch):
+    def test_a_header_read_before_is_not_parsed_again(self, tmp_path):
+        mm._read_header.cache_clear()
         paths = {}
         for cfg in (ModelConfig(), small_cfg()):  # both headers kept in one process
             paths[cfg] = tmp_path / f"{cfg.t_obs}.ckpt"
             mm.save_checkpoint(paths[cfg], mm.init_weights(cfg, seed=18), cfg)
             mm.load_checkpoint(paths[cfg])
+        assert mm._read_header.cache_info().currsize == 2
 
-        def line_reader(path, head):
-            raise AssertionError(f"{path} was read line by line")
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(paths[small_cfg()].read_bytes().replace(b"t_obs=", b"t_obs=x", 1))
+        with pytest.raises(CheckpointError, match="header line"):
+            mm.load_checkpoint(broken)
+        before = mm._read_header.cache_info()
+        assert before.currsize == 2  # a header that raised is not kept
 
-        monkeypatch.setattr(mm, "_read_header", line_reader)
         for cfg, path in paths.items():
             w = mm.init_weights(cfg, seed=19)  # new weights behind the same header
             mm.save_checkpoint(path, w, cfg)
@@ -728,30 +733,32 @@ class TestCheckpoint:
             assert list(loaded) == sorted(w)
             for name, tensor in loaded.items():
                 assert tensor.data.tobytes() == w[name].data.tobytes(), name
+        after = mm._read_header.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
     def test_kept_header_changes_no_outcome_on_damaged_blobs(self, tmp_path):
         cfg = small_cfg()
+        saved = tmp_path / "saved.ckpt"
+        mm.save_checkpoint(saved, mm.init_weights(cfg, seed=15), cfg)
+        blob = saved.read_bytes()
+        head = blob[:blob.find(b"\nEND\n")]
         path = tmp_path / "m.ckpt"
-        mm.save_checkpoint(path, mm.init_weights(cfg, seed=15), cfg)
-        blob = path.read_bytes()
-        with mock.patch.dict(mm._headers, clear=True):
-            mm.load_checkpoint(path)
-            kept = dict(mm._headers)
-        [head] = kept
 
-        def outcome(headers):
-            with mock.patch.dict(mm._headers, headers, clear=True):
-                try:
-                    weights, got = mm.load_checkpoint(path)
-                except CheckpointError as err:
-                    return str(err)
-                return repr(got), [(name, tensor.data.tobytes()) for name, tensor in weights.items()]
+        def outcome(keep_saved_header):
+            mm._read_header.cache_clear()
+            if keep_saved_header:
+                mm.load_checkpoint(saved)
+            try:
+                weights, got = mm.load_checkpoint(path)
+            except CheckpointError as err:
+                return str(err)
+            return repr(got), [(name, tensor.data.tobytes()) for name, tensor in weights.items()]
 
         hits = 0
         for damaged in damaged_blobs(blob):
             path.write_bytes(damaged)
             hits += damaged.startswith(head + b"\nEND\n")
-            assert outcome(kept) == outcome({})
+            assert outcome(True) == outcome(False)
         assert hits > 0  # payload flips and truncations keep the saved header
 
     @pytest.mark.parametrize("rewrite", ["shuffled_manifest", "config_line_after_manifest", "xi_exponent"])
